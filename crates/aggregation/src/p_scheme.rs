@@ -31,8 +31,9 @@ const METRIC_EPOCH_SUSPICIOUS: &str = "scheme.epoch_suspicious";
 const METRIC_WATCHDOG_CHECKS: &str = "scheme.watchdog_checks";
 const METRIC_WATCHDOG_DIVERGENCES: &str = "scheme.watchdog_divergences";
 
-/// Configuration of the P-scheme pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Configuration of the P-scheme pipeline. The default is
+/// [`PSchemeConfig::paper`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PSchemeConfig {
     /// Detector settings (windows, thresholds, enable switches).
     pub detectors: DetectorConfig,
@@ -72,6 +73,12 @@ impl PSchemeConfig {
             online_detection: None,
             watchdog_every: None,
         }
+    }
+}
+
+impl Default for PSchemeConfig {
+    fn default() -> Self {
+        PSchemeConfig::paper()
     }
 }
 
@@ -158,8 +165,9 @@ impl AggregationScheme for PScheme {
             // ratings that arrived this period cost signal work; its
             // output is identical to the batch path (oracle-tested in
             // rrs-detectors and below).
-            let snapshot = trust.snapshot();
-            let trust_fn = |r: RaterId| snapshot.get(&r).copied().unwrap_or(0.5);
+            // Detection reads the previous epoch's trust straight from the
+            // manager: nothing updates it until detection has returned.
+            let trust_fn = |r: RaterId| trust.trust_of(r);
             let (marks, per_product) = if online {
                 detector.detect_all_online(&prefix, prefix_window, trust_fn, &mut online_state)
             } else {
@@ -544,6 +552,14 @@ mod tests {
         assert_eq!(s.config().filter_trust_threshold, 0.5);
         assert_eq!(s.config().trust_discount, None);
         assert_eq!(s.config().online_detection, None);
+    }
+
+    #[test]
+    fn default_scheme_is_the_paper_scheme() {
+        // A zeroed default would disable the filter: `filter_ratings`
+        // drops only trust strictly below the threshold.
+        assert_eq!(PScheme::default().config(), PScheme::new().config());
+        assert_eq!(PSchemeConfig::default(), PSchemeConfig::paper());
     }
 
     props! {

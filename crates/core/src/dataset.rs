@@ -355,9 +355,16 @@ impl<'a> TimelineView<'a> {
     /// (half-open, two binary searches).
     #[must_use]
     pub fn in_window(self, window: TimeWindow) -> TimelineView<'a> {
-        let lo = self.lower_bound(window.start());
-        let hi = self.lower_bound(window.end());
-        self.subrange(lo, hi)
+        let range = self.window_range(window);
+        self.subrange(range.start, range.end)
+    }
+
+    /// Returns the index range of the entries whose times fall in
+    /// `window` — the positions [`in_window`](TimelineView::in_window)
+    /// covers, for callers holding columns parallel to this view.
+    #[must_use]
+    pub fn window_range(self, window: TimeWindow) -> std::ops::Range<usize> {
+        self.lower_bound(window.start())..self.lower_bound(window.end())
     }
 
     /// Index of the first entry with `time >= t`.
@@ -906,6 +913,8 @@ mod tests {
         assert_eq!(scoped.len(), 3);
         assert_eq!(scoped.time_at(0).as_days(), 2.0);
         assert_eq!(scoped.time_at(2).as_days(), 4.0);
+        assert_eq!(tl.window_range(window(2.0, 5.0)), 2..5);
+        assert!(tl.window_range(window(20.0, 30.0)).is_empty());
     }
 
     #[test]

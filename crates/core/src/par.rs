@@ -22,6 +22,12 @@
 //!
 //! Thread count resolution order: test/bench override ([`with_threads`])
 //! → the `RRS_THREADS` environment variable → `min(available cores, 8)`.
+//!
+//! The pool also carries one opaque **context word** from the caller into
+//! every worker ([`context`] / [`set_context`]). The pool never reads it;
+//! it exists so a layer above (the `rrs-obs` span tracer keeps the
+//! innermost live span id there) can link work done on a worker to the
+//! caller's state without this crate knowing that layer.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,6 +50,32 @@ thread_local! {
     /// Set inside pool workers so nested [`par_map`] calls degrade to the
     /// serial path instead of spawning a second generation of threads.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread holds [`OVERRIDE_LOCK`], so a nested
+    /// [`with_threads`] on the same thread does not deadlock on it.
+    static HOLDS_OVERRIDE: Cell<bool> = const { Cell::new(false) };
+    /// The context word: copied from the caller into each pool worker.
+    static CONTEXT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Returns this thread's context word (0 unless set).
+///
+/// Inside a [`par_map`] / [`par_map_owned`] worker it starts as the
+/// word the calling thread held when it fanned out; threads spawned any
+/// other way start at 0.
+#[must_use]
+pub fn context() -> u64 {
+    CONTEXT.with(Cell::get)
+}
+
+/// Replaces this thread's context word and returns the previous one.
+pub fn set_context(word: u64) -> u64 {
+    CONTEXT.with(|cell| cell.replace(word))
+}
+
+/// Marks the current thread as a pool worker carrying `context`.
+fn enter_worker(context: u64) {
+    IN_WORKER.with(|flag| flag.set(true));
+    CONTEXT.with(|cell| cell.set(context));
 }
 
 /// Returns the worker-pool size [`par_map`] will use.
@@ -72,19 +104,31 @@ pub fn thread_count() -> usize {
 ///
 /// This exists for tests and benches that compare serial against parallel
 /// execution in-process without mutating the environment; `RRS_THREADS`
-/// remains the user-facing knob. Callers are serialized by a global lock,
-/// and the previous override is restored even if `f` panics.
+/// remains the user-facing knob. Callers on different threads are
+/// serialized by a global lock; a nested call on the thread that already
+/// holds it just overrides again. The previous override is restored even
+/// if `f` panics.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    let _serialize = OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    struct Restore(usize);
+    let _serialize = if HOLDS_OVERRIDE.with(Cell::get) {
+        None
+    } else {
+        Some(
+            OVERRIDE_LOCK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
+    };
+    struct Restore(usize, bool);
     impl Drop for Restore {
         fn drop(&mut self) {
             OVERRIDE.store(self.0, Ordering::Relaxed);
+            HOLDS_OVERRIDE.with(|flag| flag.set(self.1));
         }
     }
-    let _restore = Restore(OVERRIDE.swap(threads.max(1), Ordering::Relaxed));
+    let _restore = Restore(
+        OVERRIDE.swap(threads.max(1), Ordering::Relaxed),
+        HOLDS_OVERRIDE.with(|flag| flag.replace(true)),
+    );
     f()
 }
 
@@ -98,7 +142,8 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// and the merge step writes them back by index after all workers join.
 ///
 /// With one thread, one item, or when called from inside another
-/// `par_map` worker, the exact serial path runs instead.
+/// `par_map` worker, the exact serial path runs instead. Each worker
+/// starts with the caller's [`context`] word.
 ///
 /// # Panics
 ///
@@ -122,6 +167,7 @@ where
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::new();
     slots.resize_with(items.len(), || None);
+    let caller_context = context();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -129,7 +175,7 @@ where
             let next = &next;
             let f = &f;
             handles.push(scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
+                enter_worker(caller_context);
                 let mut local: Vec<(usize, U)> = Vec::new();
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -193,6 +239,7 @@ where
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::new();
     slots.resize_with(cells.len(), || None);
+    let caller_context = context();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -201,7 +248,7 @@ where
             let f = &f;
             let cells = &cells;
             handles.push(scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
+                enter_worker(caller_context);
                 let mut local: Vec<(usize, U)> = Vec::new();
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -285,10 +332,32 @@ mod tests {
 
     #[test]
     fn override_takes_priority_and_restores() {
-        let before = thread_count();
-        let inside = with_threads(3, thread_count);
-        assert_eq!(inside, 3);
-        assert_eq!(thread_count(), before);
+        // The outer override holds the lock, so no concurrently running
+        // test can move the setting between the two reads.
+        with_threads(5, || {
+            let before = thread_count();
+            let inside = with_threads(3, thread_count);
+            assert_eq!(inside, 3);
+            assert_eq!(thread_count(), before);
+        });
+    }
+
+    #[test]
+    fn workers_start_with_the_callers_context_word() {
+        let items: Vec<usize> = (0..64).collect();
+        let previous = set_context(0xfeed);
+        let seen = with_threads(4, || par_map(&items, |_, _| context()));
+        let owned = with_threads(4, || par_map_owned(items.clone(), |_, _| context()));
+        assert_eq!(set_context(previous), 0xfeed);
+        assert!(seen.iter().chain(&owned).all(|&word| word == 0xfeed));
+    }
+
+    #[test]
+    fn raw_threads_start_without_a_context_word() {
+        let previous = set_context(7);
+        let word = std::thread::spawn(context).join().expect("thread runs");
+        set_context(previous);
+        assert_eq!(word, 0);
     }
 
     #[test]

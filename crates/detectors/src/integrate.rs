@@ -213,9 +213,10 @@ impl JointDetector {
         F: Fn(RaterId) -> f64,
     {
         let timeline = timeline.into();
+        let trust = mc::trust_column(timeline, trust);
         let enabled = self.config.enabled;
         let mc_out = if enabled.mc {
-            mc::detect(timeline, &self.config.mc, &trust)
+            mc::detect_with_trust(timeline, &self.config.mc, &trust)
         } else {
             McOutcome::default()
         };
@@ -291,9 +292,10 @@ impl JointDetector {
 /// values; the paper's band thresholds derive from it as
 /// `threshold_a = 0.5·m` and `threshold_b = 0.5·m + 0.5` (exactly
 /// [`arc::value_thresholds`]), and the Path-2 mean-deviation adjudicator
-/// uses it as the reference level.
+/// uses it as the reference level. `trust[i]` is the trust of
+/// `timeline.rater_at(i)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn integrate_outcomes<F>(
+pub(crate) fn integrate_outcomes(
     config: &DetectorConfig,
     timeline: TimelineView<'_>,
     mc_out: McOutcome,
@@ -302,11 +304,8 @@ pub(crate) fn integrate_outcomes<F>(
     hc_out: HcOutcome,
     me_out: MeOutcome,
     stream_median: f64,
-    trust: &F,
-) -> DetectionResult
-where
-    F: Fn(RaterId) -> f64,
-{
+    trust: &[f64],
+) -> DetectionResult {
     let _integrate_span = rrs_obs::trace::span("detect.integrate");
     let threshold_a = 0.5 * stream_median;
     let threshold_b = 0.5 * stream_median + 0.5;
@@ -359,16 +358,17 @@ where
     let overall_trust = if timeline.is_empty() {
         0.5
     } else {
-        timeline.iter().map(|e| trust(e.rater())).sum::<f64>() / timeline.len() as f64
+        trust.iter().sum::<f64>() / timeline.len() as f64
     };
     let mean_dev_confirms = |window: TimeWindow| -> bool {
-        let slice = timeline.in_window(window);
-        if slice.is_empty() {
+        let range = timeline.window_range(window);
+        if range.is_empty() {
             return false;
         }
-        let mean = slice.iter().map(|e| e.value()).sum::<f64>() / slice.len() as f64;
+        let len = range.len() as f64;
+        let mean = range.clone().map(|i| timeline.value_at(i)).sum::<f64>() / len;
         let dev = (mean - stream_median).abs();
-        let slice_trust = slice.iter().map(|e| trust(e.rater())).sum::<f64>() / slice.len() as f64;
+        let slice_trust = trust[range].iter().sum::<f64>() / len;
         let less_trusted =
             overall_trust > 0.0 && slice_trust / overall_trust < config.mc.trust_ratio;
         dev > config.mc.threshold1 || (dev > config.mc.threshold2 && less_trusted)

@@ -166,6 +166,30 @@ where
     F: Fn(RaterId) -> f64,
 {
     let timeline = timeline.into();
+    let trust = trust_column(timeline, trust);
+    detect_with_trust(timeline, config, &trust)
+}
+
+/// The per-rating trust column of a timeline, one `trust` call per
+/// rating: `column[i]` is the trust of `timeline.rater_at(i)`. This is
+/// the batch path's form of what the online path resolves once per
+/// rater.
+pub(crate) fn trust_column<F>(timeline: TimelineView<'_>, trust: F) -> Vec<f64>
+where
+    F: Fn(RaterId) -> f64,
+{
+    (0..timeline.len())
+        .map(|i| trust(timeline.rater_at(i)))
+        .collect()
+}
+
+/// [`detect`] with the trust column already resolved (see
+/// [`trust_column`]).
+pub(crate) fn detect_with_trust(
+    timeline: TimelineView<'_>,
+    config: &McConfig,
+    trust: &[f64],
+) -> McOutcome {
     let n = timeline.len();
     if n < 2 * config.min_half_ratings {
         return McOutcome::default();
@@ -201,7 +225,6 @@ where
 
     let overall_mean = rrs_signal::stats::median(&values).expect("n > 0");
     judge_segments(
-        timeline,
         &times,
         &prefix,
         curve,
@@ -217,9 +240,9 @@ where
 /// verbatim by the batch and online paths so their verdicts are
 /// bit-identical. `overall_mean` is the stream's reference level (the
 /// *median* rating value; see the comment inside on why not the mean).
+/// `trust[i]` is the trust of the stream's `i`-th rater.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn judge_segments<F>(
-    timeline: TimelineView<'_>,
+pub(crate) fn judge_segments(
     times: &[f64],
     prefix: &[f64],
     curve: Curve,
@@ -227,13 +250,10 @@ pub(crate) fn judge_segments<F>(
     u_shapes: Vec<UShape>,
     overall_mean: f64,
     config: &McConfig,
-    trust: F,
-) -> McOutcome
-where
-    F: Fn(RaterId) -> f64,
-{
+    trust: &[f64],
+) -> McOutcome {
     let _detect_span = rrs_obs::trace::span("detect.mc");
-    let n = timeline.len();
+    let n = times.len();
     let range_mean = |r: Range<usize>| -> Option<f64> {
         if r.is_empty() {
             None
@@ -249,8 +269,7 @@ where
     // normal (the reference the paper uses is safe only while unfair
     // ratings are a small minority of the stream).
     let peak_indices = Curve::peak_stream_indices(&peaks);
-    let trust_values: Vec<f64> = (0..n).map(|i| trust(timeline.rater_at(i))).collect();
-    let overall_trust: f64 = trust_values.iter().sum::<f64>() / n as f64;
+    let overall_trust: f64 = trust.iter().sum::<f64>() / n as f64;
 
     let mut segments = Vec::new();
     let mut suspicious = Vec::new();
@@ -259,7 +278,7 @@ where
         let mean = range_mean(index_range.clone()).expect("segments are non-empty");
         let mean_deviation = (mean - overall_mean).abs();
         let avg_trust: f64 =
-            trust_values[index_range.clone()].iter().sum::<f64>() / index_range.len() as f64;
+            trust[index_range.clone()].iter().sum::<f64>() / index_range.len() as f64;
         let less_trusted = overall_trust > 0.0 && avg_trust / overall_trust < config.trust_ratio;
         let flagged = mean_deviation > config.threshold1
             || (mean_deviation > config.threshold2 && less_trusted);

@@ -19,9 +19,12 @@
 //! * **ARC** — the point at day `k` reads day bins `[k − w, k + w)` with
 //!   `w = min(D, k)` once the edge clip stops binding; it is settled once
 //!   `k + min(D, k)` whole days are complete (`⌊E − start⌋`). Daily
-//!   counts themselves are appended in O(1) per rating; a *change of the
-//!   stream median* re-bands history, so the band is rebuilt (and its
-//!   settled points discarded) whenever the median's bit pattern moves.
+//!   counts themselves are appended in O(1) per rating. A *change of the
+//!   stream median* moves the band thresholds, and with them exactly the
+//!   ratings whose values lie between the old and the new threshold: the
+//!   band flips just those ratings' day counts (found through the value-
+//!   sorted mirror) and drops only the settled points whose window reads
+//!   a changed day.
 //! * **HC / ME** — windows are index-based (`[start, start + w)`), so a
 //!   window is settled the moment it fits inside the stream; each is
 //!   evaluated exactly once, ever.
@@ -34,6 +37,15 @@
 //! approximate: the oracle property tests in this module assert
 //! `DetectionResult` equality epoch by epoch, and `scripts/verify.sh`
 //! byte-diffs whole report trees between the two modes.
+//!
+//! Rater trust enters the MC segment judge and the Path-2 check as one
+//! per-rating column. The state keeps a dense index of every rater it
+//! has seen and each product's cache one slot per rating, so an epoch
+//! calls the caller's `trust` once per distinct rater — not once per
+//! rating per consumer — and gathers the columns from the resolved
+//! slots. Like the sorted mirror, the index and the slot columns are
+//! derived state: they stay out of [`OnlineSnapshot`] and are re-derived
+//! from the timelines after a restore.
 //!
 //! The cache trusts its caller to feed it *prefix views of one growing
 //! stream* (the epoch loop's shape). Every absorb re-checks the cheap
@@ -68,6 +80,49 @@ const METRIC_MIN_AR_ERROR: &str = "signal.online.min_ar_error";
 #[derive(Debug, Default)]
 pub struct OnlineState {
     products: BTreeMap<ProductId, ProductState>,
+    raters: RaterIndex,
+}
+
+/// Dense index over every rater the state has seen: slot `s` names
+/// `raters[s]`. Derived state, never part of a snapshot; a restored
+/// state rebuilds it from the timelines of its first epoch.
+#[derive(Debug, Default)]
+struct RaterIndex {
+    slot_of: BTreeMap<RaterId, u32>,
+    raters: Vec<RaterId>,
+}
+
+impl RaterIndex {
+    /// The rater's slot, assigning the next free one on first sight.
+    fn slot(&mut self, rater: RaterId) -> u32 {
+        let next = self.raters.len() as u32;
+        *self.slot_of.entry(rater).or_insert_with(|| {
+            self.raters.push(rater);
+            next
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.raters.len()
+    }
+
+    /// Calls `trust` once for every slot marked in `used` and returns
+    /// the values by slot (0.0 for unused slots). The calls go in
+    /// ascending rater order, which walks a rater-keyed table on the
+    /// caller's side in order.
+    fn resolve<F>(&self, used: &[bool], trust: F) -> Vec<f64>
+    where
+        F: Fn(RaterId) -> f64,
+    {
+        let mut by_slot = vec![0.0; self.raters.len()];
+        for (&rater, &slot) in &self.slot_of {
+            let slot = slot as usize;
+            if used[slot] {
+                by_slot[slot] = trust(rater);
+            }
+        }
+        by_slot
+    }
 }
 
 impl OnlineState {
@@ -87,8 +142,9 @@ impl OnlineState {
     ///
     /// Every `f64` is carried as its bit pattern, so the image survives
     /// any text round trip without rounding. Structures that are pure
-    /// functions of the captured ones — the stream prefix sums, the
-    /// sorted mirror, HC's sliding window multiset — are *not* stored;
+    /// functions of the captured ones or of the timelines — the stream
+    /// prefix sums, the sorted mirror, HC's sliding window multiset, the
+    /// rater index and slot columns — are *not* stored;
     /// [`OnlineState::restore`] rebuilds them by replaying the exact
     /// push/sort operations the live path uses, which keeps the image
     /// minimal without costing a single bit of fidelity.
@@ -171,7 +227,10 @@ impl OnlineState {
             };
             products.insert(p.product, state);
         }
-        OnlineState { products }
+        OnlineState {
+            products,
+            raters: RaterIndex::default(),
+        }
     }
 }
 
@@ -323,6 +382,13 @@ struct StreamCache {
     /// `stats::median` produces internally, since equal keys are
     /// bit-identical.
     sorted: Vec<f64>,
+    /// Stream index of each `sorted` entry, so the ratings whose values
+    /// fall in a value range can be found without a scan.
+    sorted_idx: Vec<u32>,
+    /// Rater slot (see [`RaterIndex`]) of each timeline entry. Topped up
+    /// on the caller's thread before the fan-out, so it may run ahead of
+    /// `values` until the worker absorbs the epoch.
+    slots: Vec<u32>,
     /// Bit pattern of the horizon start all offsets were computed from.
     start_bits: u64,
     /// Horizon end (days) of the last absorb; settled state is only
@@ -356,18 +422,40 @@ impl StreamCache {
     /// O(1) guards over the epoch-loop contract. The tail spot-check
     /// catches a swapped dataset even when lengths happen to line up.
     fn consistent_with(&self, timeline: TimelineView<'_>, start: f64, end: f64) -> bool {
-        let n = self.values.len();
-        if n == 0 {
+        if self.values.is_empty() {
             // An empty cache has nothing to protect, but routing the
             // first non-empty epoch through `rebuild` keeps one
             // initialization path.
             return timeline.is_empty();
         }
-        timeline.len() >= n
-            && start.to_bits() == self.start_bits
-            && end >= self.end_days
-            && timeline.value_at(n - 1).to_bits() == self.values[n - 1].to_bits()
-            && timeline.time_at(n - 1).as_days().to_bits() == self.times[n - 1].to_bits()
+        start.to_bits() == self.start_bits && end >= self.end_days && self.tail_matches(timeline)
+    }
+
+    /// Whether `timeline` still starts with the cached stream, judged by
+    /// its length and the bits of the cached tail entry.
+    fn tail_matches(&self, timeline: TimelineView<'_>) -> bool {
+        let n = self.values.len();
+        n == 0
+            || (timeline.len() >= n
+                && timeline.value_at(n - 1).to_bits() == self.values[n - 1].to_bits()
+                && timeline.time_at(n - 1).as_days().to_bits() == self.times[n - 1].to_bits())
+    }
+
+    /// Brings `slots` to one rater slot per timeline entry; only entries
+    /// past the column cost an index lookup. A column that no longer
+    /// covers the cached stream (after a restore) or whose tail no
+    /// longer matches the timeline is derived again from the start.
+    fn top_up_slots(&mut self, timeline: TimelineView<'_>, index: &mut RaterIndex) {
+        let n = self.slots.len();
+        let current = n == self.values.len()
+            && self.tail_matches(timeline)
+            && (n == 0 || index.raters[self.slots[n - 1] as usize] == timeline.rater_at(n - 1));
+        if !current {
+            self.slots.clear();
+        }
+        for i in self.slots.len()..timeline.len() {
+            self.slots.push(index.slot(timeline.rater_at(i)));
+        }
     }
 
     fn rebuild(&mut self, timeline: TimelineView<'_>, start: f64, end: f64) {
@@ -375,6 +463,7 @@ impl StreamCache {
         self.times.clear();
         self.prefix.clear();
         self.sorted.clear();
+        self.sorted_idx.clear();
         self.start_bits = start.to_bits();
         for i in 0..timeline.len() {
             self.push(timeline.value_at(i), timeline.time_at(i).as_days());
@@ -388,10 +477,12 @@ impl StreamCache {
         }
         let last = self.prefix[self.prefix.len() - 1];
         self.prefix.push(last + v);
+        let index = self.values.len() as u32;
         self.values.push(v);
         self.times.push(t);
         let pos = self.sorted.partition_point(|x| x.total_cmp(&v).is_lt());
         self.sorted.insert(pos, v);
+        self.sorted_idx.insert(pos, index);
     }
 
     /// `stats::median` replayed on the maintained sorted vector.
@@ -426,8 +517,8 @@ struct ArcBandState {
     /// Entries already folded into `counts`.
     absorbed: usize,
     /// Bit pattern of the stream median the band threshold derives from.
-    /// The median re-bands *history* when it moves, so any change forces
-    /// a rebuild of counts and settled points.
+    /// The median re-bands *history* when it moves: the ratings between
+    /// the old and the new threshold flip band (see [`reband`]).
     median_bits: Option<u64>,
     settled: Vec<CurvePoint>,
     scan_from: usize,
@@ -500,18 +591,14 @@ impl Telemetry {
 
 /// Incremental MC: settle every point whose right window closed at or
 /// before the horizon end, then evaluate only the live tail.
-fn mc_online<F>(
+fn mc_online(
     cache: &StreamCache,
     state: &mut McState,
-    timeline: TimelineView<'_>,
     horizon_end: f64,
     stream_median: f64,
     config: &McConfig,
-    trust: &F,
-) -> McOutcome
-where
-    F: Fn(RaterId) -> f64,
-{
+    trust: &[f64],
+) -> McOutcome {
     let n = cache.values.len();
     if n == 0 || n < 2 * config.min_half_ratings {
         return McOutcome::default();
@@ -562,7 +649,6 @@ where
     let u_shapes = curve.u_shapes_between(&peaks, config.valley_ratio);
     drop(signal_span);
     mc::judge_segments(
-        timeline,
         &cache.times,
         &cache.prefix,
         curve,
@@ -575,11 +661,13 @@ where
 }
 
 /// Incremental H-ARC/L-ARC: O(1) count appends while the stream median
-/// holds its bit pattern, full rebuild when it moves (a moved median
-/// re-bands every historical rating), then settle every curve point
-/// whose day window is complete.
+/// holds its bit pattern; when it moves, only the ratings that change
+/// band are re-counted (see [`reband`]). Then every curve point whose day
+/// window is complete is settled.
+#[allow(clippy::too_many_arguments)]
 fn arc_band_online(
     band: &mut ArcBandState,
+    cache: &StreamCache,
     cache_rebuilt: bool,
     timeline: TimelineView<'_>,
     horizon: TimeWindow,
@@ -590,40 +678,38 @@ fn arc_band_online(
     let signal_span = rrs_obs::trace::span("signal.arc");
     let median_bits = stream_median.to_bits();
     let days = horizon.length().get().ceil() as usize;
-    let rebuild = cache_rebuilt
-        || band.median_bits != Some(median_bits)
-        || band.absorbed > timeline.len()
-        || days < band.counts.len();
+    let mut rebuild = cache_rebuilt || band.absorbed > timeline.len() || days < band.counts.len();
+    if !rebuild {
+        band.counts.resize(days, 0);
+        rebuild = match band.median_bits {
+            Some(bits) if bits == median_bits => false,
+            Some(bits) => {
+                let medians = (f64::from_bits(bits), stream_median);
+                !reband(band, cache, timeline, horizon, variant, medians, config)
+            }
+            None => true,
+        };
+    }
     if rebuild {
         band.counts = vec![0u32; days];
         band.settled.clear();
         band.scan_from = 0;
         band.absorbed = 0;
-        band.median_bits = Some(median_bits);
-    } else if days > band.counts.len() {
-        band.counts.resize(days, 0);
     }
+    band.median_bits = Some(median_bits);
     // Replays `daily_counts_filtered` bitwise: same thresholds derived
     // from the same median, same in-window restriction, same offset and
     // last-bucket clamp expressions. The clamp never binds for in-window
     // entries (`offset < E − start ≤ days`), so counts appended under an
     // older, shorter `days` are identical to a fresh batch computation.
-    let threshold_a = 0.5 * stream_median;
-    let threshold_b = 0.5 * stream_median + 0.5;
+    let (threshold_a, threshold_b) = band_thresholds(stream_median);
     for i in band.absorbed..timeline.len() {
         let time = timeline.time_at(i);
         if time < horizon.start() || time >= horizon.end() {
             continue;
         }
-        let keep = match variant {
-            ArcVariant::All => true,
-            ArcVariant::High => timeline.value_at(i) > threshold_a,
-            ArcVariant::Low => timeline.value_at(i) < threshold_b,
-        };
-        if keep {
-            let offset = time.as_days() - horizon.start().as_days();
-            let idx = (offset.floor() as usize).min(days.saturating_sub(1));
-            band.counts[idx] += 1;
+        if in_band(variant, timeline.value_at(i), threshold_a, threshold_b) {
+            band.counts[day_bin(time.as_days(), horizon, days)] += 1;
         }
     }
     band.absorbed = timeline.len();
@@ -665,6 +751,113 @@ fn arc_band_online(
     let u_shapes = curve.u_shapes_between(&peaks, config.valley_ratio);
     drop(signal_span);
     arc::judge_counts(&band.counts, day0, variant, config, curve, peaks, u_shapes)
+}
+
+/// The paper's band thresholds `(0.5·m, 0.5·m + 0.5)`, written exactly
+/// as [`arc::detect`] derives them.
+fn band_thresholds(stream_median: f64) -> (f64, f64) {
+    (0.5 * stream_median, 0.5 * stream_median + 0.5)
+}
+
+/// Whether a rating of value `v` counts toward `variant`'s band.
+fn in_band(variant: ArcVariant, v: f64, threshold_a: f64, threshold_b: f64) -> bool {
+    match variant {
+        ArcVariant::All => true,
+        ArcVariant::High => v > threshold_a,
+        ArcVariant::Low => v < threshold_b,
+    }
+}
+
+/// The day bin of an in-window time: `daily_counts_filtered`'s offset
+/// and last-bucket clamp expressions.
+fn day_bin(time: f64, horizon: TimeWindow, days: usize) -> usize {
+    let offset = time - horizon.start().as_days();
+    (offset.floor() as usize).min(days.saturating_sub(1))
+}
+
+/// Re-bands the absorbed ratings after the stream median moved from
+/// `medians.0` (the band's recorded one) to `medians.1`.
+///
+/// A rating changes band exactly when its value lies between the old and
+/// the new threshold. Those values form one contiguous run of the
+/// cache's value-sorted mirror (the band is a suffix of it for H-ARC, a
+/// prefix for L-ARC), so two binary searches find them and only they are
+/// visited: each in-window one moves its day count by one, in the same
+/// direction for all. Counts are integers, so the result equals a fresh
+/// count under the new threshold. Settled points whose window reads a
+/// changed day are dropped for the caller's scan to settle again; the
+/// ones ending before the first changed day read only unchanged bins.
+///
+/// Returns `false` (and leaves the band to be rebuilt) when a count
+/// would go negative, which only a broken prefix contract can cause.
+fn reband(
+    band: &mut ArcBandState,
+    cache: &StreamCache,
+    timeline: TimelineView<'_>,
+    horizon: TimeWindow,
+    variant: ArcVariant,
+    medians: (f64, f64),
+    config: &ArcConfig,
+) -> bool {
+    let (old_a, old_b) = band_thresholds(medians.0);
+    let (new_a, new_b) = band_thresholds(medians.1);
+    let (old, new) = match variant {
+        ArcVariant::All => return true,
+        ArcVariant::High => (old_a, new_a),
+        ArcVariant::Low => (old_b, new_b),
+    };
+    let (lo, hi) = if old < new { (old, new) } else { (new, old) };
+    // Index of the first sorted value inside the band at threshold `t`
+    // (H-ARC) or the first one outside it (L-ARC); rating values are
+    // finite, so both predicates are monotone over `total_cmp` order.
+    let boundary = |t: f64| match variant {
+        ArcVariant::High => cache.sorted.partition_point(|&x| x <= t),
+        _ => cache.sorted.partition_point(|&x| x < t),
+    };
+    let days = band.counts.len();
+    let mut first_changed: Option<usize> = None;
+    for &index in &cache.sorted_idx[boundary(lo)..boundary(hi)] {
+        let i = index as usize;
+        if i >= band.absorbed {
+            // Not counted yet: the append loop counts it under `new`.
+            continue;
+        }
+        let time = timeline.time_at(i);
+        if time < horizon.start() || time >= horizon.end() {
+            continue;
+        }
+        // Every rating in the run changes band; its side of the new
+        // threshold says which way.
+        let bin = day_bin(time.as_days(), horizon, days);
+        if in_band(variant, timeline.value_at(i), new_a, new_b) {
+            band.counts[bin] += 1;
+        } else if let Some(count) = band.counts[bin].checked_sub(1) {
+            band.counts[bin] = count;
+        } else {
+            return false;
+        }
+        first_changed = Some(first_changed.map_or(bin, |f| f.min(bin)));
+    }
+    if let Some(day) = first_changed {
+        band.scan_from = band
+            .scan_from
+            .min(first_point_reading(day, config.half_window_days));
+        let kept = band.settled.partition_point(|p| p.index < band.scan_from);
+        band.settled.truncate(kept);
+    }
+    true
+}
+
+/// The smallest day index `k` whose settled ARC window `[k − w, k + w)`,
+/// `w = min(half, k)`, reaches bin `day` — i.e. the first `k` with
+/// `k + min(half, k) > day`. Every settled point below it is unaffected
+/// by a change at `day` or later.
+fn first_point_reading(day: usize, half: usize) -> usize {
+    if day < 2 * half {
+        day / 2 + 1
+    } else {
+        day - half + 1
+    }
 }
 
 /// Incremental HC: each window is evaluated exactly once, when it first
@@ -758,16 +951,13 @@ fn me_online(cache: &StreamCache, state: &mut WindowedState, config: &MeConfig) 
 
 /// One product's incremental epoch: absorb new arrivals, run the four
 /// detectors against rolling state, integrate.
-fn detect_product_online<F>(
+fn detect_product_online(
     detector: &JointDetector,
     timeline: TimelineView<'_>,
     horizon: TimeWindow,
     state: &mut ProductState,
-    trust: &F,
-) -> DetectionResult
-where
-    F: Fn(RaterId) -> f64,
-{
+    trust: &[f64],
+) -> DetectionResult {
     let online_span = rrs_obs::trace::span("signal.online");
     let absorbed = state.cache.absorb(timeline, horizon);
     let rebuilt = matches!(absorbed, Absorbed::Rebuilt);
@@ -807,7 +997,6 @@ where
         mc_online(
             &state.cache,
             &mut state.mc,
-            timeline,
             horizon.end().as_days(),
             stream_median,
             &config.mc,
@@ -820,6 +1009,7 @@ where
         (
             arc_band_online(
                 &mut state.harc,
+                &state.cache,
                 rebuilt,
                 timeline,
                 horizon,
@@ -829,6 +1019,7 @@ where
             ),
             arc_band_online(
                 &mut state.larc,
+                &state.cache,
                 rebuilt,
                 timeline,
                 horizon,
@@ -879,6 +1070,13 @@ impl JointDetector {
     /// by the cache guards and answered with a rebuild — wrong usage
     /// degrades to batch speed, never to wrong results.
     ///
+    /// `trust` is called at most once per distinct rater of the prefix
+    /// per call — on the calling thread, before the fan-out — and each
+    /// product's detectors read the resolved values as one per-rating
+    /// column. It must therefore be a pure function of the rater for the
+    /// duration of the call (the epoch loop passes the previous epoch's
+    /// trust, which nothing changes until detection returns).
+    ///
     /// Products are independent; state slots are moved out of the map,
     /// carried through [`rrs_core::par::par_map_owned`] (product order,
     /// so the output is identical at any thread count), and re-inserted.
@@ -894,23 +1092,37 @@ impl JointDetector {
         F: Fn(RaterId) -> f64 + Sync,
     {
         let view = dataset.into();
-        let trust = &trust;
+        // Serially, in product order: extend each product's slot column
+        // over its new arrivals (the rater index is shared).
         let tasks: Vec<(ProductId, TimelineView<'a>, ProductState)> = view
             .products()
             .iter()
             .map(|&(pid, timeline)| {
-                (
-                    pid,
-                    timeline,
-                    state.products.remove(&pid).unwrap_or_default(),
-                )
+                let mut product_state = state.products.remove(&pid).unwrap_or_default();
+                product_state
+                    .cache
+                    .top_up_slots(timeline, &mut state.raters);
+                (pid, timeline, product_state)
             })
             .collect();
+        let mut used = vec![false; state.raters.len()];
+        for (_, _, product_state) in &tasks {
+            for &slot in &product_state.cache.slots {
+                used[slot as usize] = true;
+            }
+        }
+        let trust_by_slot = state.raters.resolve(&used, trust);
         let mut per_product = Vec::with_capacity(tasks.len());
         for (pid, result, product_state) in
             rrs_core::par::par_map_owned(tasks, |_, (pid, timeline, mut product_state)| {
+                let column: Vec<f64> = product_state
+                    .cache
+                    .slots
+                    .iter()
+                    .map(|&slot| trust_by_slot[slot as usize])
+                    .collect();
                 let result =
-                    detect_product_online(self, timeline, horizon, &mut product_state, trust);
+                    detect_product_online(self, timeline, horizon, &mut product_state, &column);
                 (pid, result, product_state)
             })
         {
@@ -1173,6 +1385,19 @@ mod tests {
             detector.detect_all_online(&prefix, window, trust_fn, &mut live);
         }
         let mut restored = OnlineState::restore(&live.snapshot());
+        // The slot columns are derived state: the restored ones start
+        // empty and are re-derived by the next epoch, in which the
+        // stream median moves, so the ARC bands re-band through the
+        // rebuilt sorted mirror at the same time.
+        assert!(restored.products.values().all(|p| p.cache.slots.is_empty()));
+        assert!(live.products.values().all(|p| !p.cache.slots.is_empty()));
+        let thresholds = |end: f64| {
+            let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+            let prefix = d.prefix_view(window);
+            let timeline = prefix.product(ProductId::new(0)).unwrap();
+            crate::arc::value_thresholds(timeline)
+        };
+        assert_ne!(thresholds(60.0), thresholds(75.0), "median did not move");
         for &end in &[75.0, 90.0] {
             let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
             let prefix = d.prefix_view(window);
@@ -1185,6 +1410,135 @@ mod tests {
         }
         // And the states themselves remain interchangeable afterwards.
         assert_eq!(live.snapshot(), restored.snapshot());
+    }
+
+    /// Continuous values uniform over the whole scale, so both band
+    /// thresholds (`0.5·m` and `0.5·m + 0.5`) sit inside the value range
+    /// and every move of the median flips some ratings' band.
+    fn continuous_dataset(seed: u64) -> RatingDataset {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut d = RatingDataset::new();
+        let mut rater = 0u32;
+        for product in 0..2u16 {
+            for day in 0..90 {
+                let n = 3 + (rng.gen::<u8>() % 3) as usize;
+                for slot in 0..n {
+                    // A slow upward drift keeps the median on the move.
+                    let drift = f64::from(day) / 90.0;
+                    d.insert(
+                        Rating::new(
+                            RaterId::new(rater % 173),
+                            ProductId::new(product),
+                            ts(f64::from(day) + slot as f64 / n as f64),
+                            RatingValue::new_clamped(rng.gen_range(0.0..4.0) + drift),
+                        ),
+                        RatingSource::Fair,
+                    );
+                    rater += 1;
+                }
+            }
+        }
+        d
+    }
+
+    /// Ratings of the `previous` prefix whose H-ARC or L-ARC band
+    /// membership differs between that prefix's thresholds and the
+    /// `current` one's — what the online path must flip.
+    fn band_changes(previous: &DatasetView<'_>, current: &DatasetView<'_>) -> usize {
+        let mut changed = 0;
+        for &(pid, timeline) in previous.products() {
+            let Some(now) = current.product(pid) else {
+                continue;
+            };
+            let (old_a, old_b) = crate::arc::value_thresholds(timeline);
+            let (new_a, new_b) = crate::arc::value_thresholds(now);
+            for v in timeline.values() {
+                changed += usize::from((v > old_a) != (v > new_a));
+                changed += usize::from((v < old_b) != (v < new_b));
+            }
+        }
+        changed
+    }
+
+    props! {
+        #![cases(32)]
+        #[test]
+        fn moving_median_rebands_equal_batch_oracle(
+            seed in 0u64..64,
+            burst_days in 0usize..10,
+            burst_value in 0.0f64..5.0,
+        ) {
+            let mut d = continuous_dataset(seed);
+            if burst_days > 0 {
+                add_burst(&mut d, 40.0, burst_days, 5, burst_value);
+            }
+            // The AR fits of ME dominate the batch oracle's cost; the
+            // bands, MC and HC are what a moving median touches.
+            let detector = JointDetector::new(
+                DetectorConfig::default().without(crate::AblatedDetector::ModelError),
+            );
+            let mut state = OnlineState::new();
+            let mut flips = 0;
+            let mut previous: Option<DatasetView<'_>> = None;
+            for step in 3..=30 {
+                let end = f64::from(step) * 3.0;
+                let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+                let prefix = d.prefix_view(window);
+                let (batch_marks, batch_results) = detector.detect_all(&prefix, window, trust_fn);
+                let (online_marks, online_results) =
+                    detector.detect_all_online(&prefix, window, trust_fn, &mut state);
+                prop_assert!(batch_marks == online_marks, "marks diverged at end={end}");
+                prop_assert!(
+                    batch_results == online_results,
+                    "per-product results diverged at end={end}"
+                );
+                if let Some(previous) = &previous {
+                    flips += band_changes(previous, &prefix);
+                }
+                previous = Some(prefix);
+            }
+            // Non-vacuous: the medians moved across ratings already
+            // counted, so the flip path had work to do.
+            prop_assert!(flips > 0, "no rating ever changed band");
+        }
+    }
+
+    #[test]
+    fn trust_is_resolved_once_per_rater() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut d = fair_dataset(12);
+        add_burst(&mut d, 40.0, 12, 5, 0.8);
+        let detector = JointDetector::default();
+        let mut state = OnlineState::new();
+        for &end in &[30.0, 60.0, 90.0] {
+            let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+            let prefix = d.prefix_view(window);
+            let calls = AtomicUsize::new(0);
+            let counting = |r: RaterId| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                trust_fn(r)
+            };
+            let (online_marks, _) =
+                detector.detect_all_online(&prefix, window, counting, &mut state);
+            let (batch_marks, _) = detector.detect_all(&prefix, window, trust_fn);
+            assert_eq!(online_marks, batch_marks, "marks diverged at end={end}");
+            let ratings: usize = prefix.products().iter().map(|(_, t)| t.len()).sum();
+            let raters: BTreeSet<RaterId> = prefix
+                .products()
+                .iter()
+                .flat_map(|&(_, t)| (0..t.len()).map(move |i| t.rater_at(i)))
+                .collect();
+            let calls = calls.load(Ordering::SeqCst);
+            assert!(calls > 0, "trust never consulted at end={end}");
+            assert!(
+                calls <= raters.len(),
+                "{calls} trust calls for {} distinct raters at end={end}",
+                raters.len()
+            );
+            // Raters recur across ratings, so once per rating would be
+            // visibly more.
+            assert!(raters.len() < ratings);
+        }
     }
 
     #[test]

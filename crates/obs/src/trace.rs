@@ -9,7 +9,11 @@
 //!
 //! Spans are *hierarchical*: each live span pushes its id onto a
 //! thread-local stack, so a span opened while another is live on the
-//! same thread records that span as its parent. [`tree_totals`] folds a
+//! same thread records that span as its parent. The innermost live id is
+//! also kept in the `rrs_core::par` context word, which the pool copies
+//! into its workers: a span opened on a worker whose own stack is empty
+//! takes the fanning-out caller's span as its parent, so the tree is the
+//! same at any pool width. [`tree_totals`] folds a
 //! span batch into per-path aggregates (paths are `;`-joined name chains
 //! from root to leaf) and [`collapsed_stacks`] renders the batch in the
 //! collapsed-stack text format flamegraph tools consume, with self-time
@@ -86,6 +90,7 @@ impl Drop for Span {
                     stack.remove(pos);
                 }
             });
+            rrs_core::par::set_context(self.parent);
             let record = SpanRecord {
                 name: self.name,
                 nanos,
@@ -117,10 +122,13 @@ pub fn span(name: &'static str) -> Span {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
-        let parent = stack.last().copied().unwrap_or(0);
+        // An empty stack on a pool worker falls back to the caller's
+        // innermost span, carried in over the context word.
+        let parent = stack.last().copied().unwrap_or_else(rrs_core::par::context);
         stack.push(id);
         parent
     });
+    rrs_core::par::set_context(id);
     Span {
         name,
         start: Some(Instant::now()),
@@ -418,6 +426,40 @@ mod tests {
         // empty, so its span has no parent even though stage.outer was
         // live on the spawning thread.
         assert_eq!(worker.parent, 0);
+    }
+
+    #[test]
+    fn spans_on_pool_workers_nest_under_the_caller() {
+        let _guard = tests_lock();
+        crate::enable();
+        drain_spans();
+        let items: Vec<usize> = (0..16).collect();
+        {
+            let _outer = span("stage.outer");
+            rrs_core::par::with_threads(4, || {
+                rrs_core::par::par_map(&items, |_, _| {
+                    let _worker = span("stage.worker");
+                    let _leaf = span("stage.leaf");
+                })
+            });
+        }
+        {
+            let _after = span("stage.after");
+        }
+        let spans = drain_spans();
+        crate::disable();
+        let outer = spans.iter().find(|s| s.name == "stage.outer").unwrap();
+        let workers: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "stage.worker").collect();
+        assert_eq!(workers.len(), items.len());
+        assert!(workers.iter().all(|w| w.parent == outer.id));
+        // Below the worker span, the worker's own stack takes over.
+        for leaf in spans.iter().filter(|s| s.name == "stage.leaf") {
+            assert!(workers.iter().any(|w| w.id == leaf.parent));
+        }
+        // Closing the outer span restored the caller's word, so the next
+        // span on this thread is a root again.
+        let after = spans.iter().find(|s| s.name == "stage.after").unwrap();
+        assert_eq!(after.parent, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::dto::RatingSubmission;
-use crate::wal::{read_wal, WalEvent, WalWriter};
+use crate::wal::{read_wal, truncate_wal, WalEvent, WalWriter};
 use rrs_aggregation::filter::filter_ratings;
 use rrs_aggregation::weighted_aggregate;
 use rrs_core::{ProductId, RaterId, RatingDataset, RatingId, TimeWindow, Timestamp};
@@ -194,6 +194,9 @@ impl Engine {
                 "dropped a torn (unacknowledged) trailing WAL line in {}",
                 dir.display()
             );
+            // Cut the fragment off the file too: the next append would
+            // otherwise complete it into a corrupt line.
+            truncate_wal(dir, replay.complete_len)?;
         }
         let total_events = replay.events.len() as u64;
         if checkpointed_events > total_events {
@@ -340,11 +343,15 @@ impl Engine {
         );
         let prefix_window = TimeWindow::ordered(Timestamp::ZERO, period.end());
         let prefix = self.dataset.prefix_view(prefix_window);
-        let snapshot = self.trust.snapshot();
-        let trust_fn = |r: RaterId| snapshot.get(&r).copied().unwrap_or(0.5);
-        let (marks, _per_product) =
-            self.detector
-                .detect_all_online(&prefix, prefix_window, trust_fn, &mut self.online);
+        // Detection reads the previous epoch's trust straight from the
+        // manager: nothing updates it until detection has returned.
+        let trust = &self.trust;
+        let (marks, _per_product) = self.detector.detect_all_online(
+            &prefix,
+            prefix_window,
+            |r: RaterId| trust.trust_of(r),
+            &mut self.online,
+        );
         if let Some(factor) = self.config.trust_discount {
             self.trust.discount_all(factor);
         }

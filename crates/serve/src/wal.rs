@@ -17,8 +17,10 @@
 //!
 //! A torn final line (no trailing `\n` — the classic power-cut artifact
 //! of an append that never completed) is detected and dropped: it was
-//! never acknowledged, so dropping it is correct. A *complete* line
-//! that fails to parse is corruption and refuses to load.
+//! never acknowledged, so dropping it is correct. Recovery also cuts it
+//! off the file ([`truncate_wal`]) before the next append, which would
+//! otherwise complete the fragment into a corrupt line. A *complete*
+//! line that fails to parse is corruption and refuses to load.
 
 use crate::dto::{parse_submission, RatingSubmission};
 use rrs_core::io::{jsonl_field, parse_jsonl_object, JsonScalar};
@@ -160,6 +162,9 @@ pub struct WalReplay {
     pub events: Vec<WalEvent>,
     /// Whether a torn (unterminated) final line was dropped.
     pub torn_tail: bool,
+    /// Byte length of the log's complete lines: the end of the last
+    /// `\n`, where a torn tail begins.
+    pub complete_len: u64,
 }
 
 /// Loads the WAL, tolerating exactly one torn final line.
@@ -183,6 +188,7 @@ pub fn read_wal(dir: &Path) -> std::io::Result<WalReplay> {
             return Ok(WalReplay {
                 events: Vec::new(),
                 torn_tail: false,
+                complete_len: 0,
             })
         }
         Err(e) => return Err(e),
@@ -203,7 +209,25 @@ pub fn read_wal(dir: &Path) -> std::io::Result<WalReplay> {
             None => break !rest.is_empty(),
         }
     };
-    Ok(WalReplay { events, torn_tail })
+    let complete_len = (raw.len() - rest.len()) as u64;
+    Ok(WalReplay {
+        events,
+        torn_tail,
+        complete_len,
+    })
+}
+
+/// Truncates the log to `len` bytes and syncs — recovery's cut of a torn
+/// tail, at the [`WalReplay::complete_len`] [`read_wal`] reported, so the
+/// next append starts a fresh line.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn truncate_wal(dir: &Path, len: u64) -> std::io::Result<()> {
+    let file = OpenOptions::new().write(true).open(dir.join(WAL_FILE))?;
+    file.set_len(len)?;
+    file.sync_all()
 }
 
 fn corrupt(path: &Path, line: usize, message: String) -> std::io::Error {
@@ -286,6 +310,16 @@ mod tests {
         let replay = read_wal(&dir).expect("replay");
         assert!(replay.torn_tail);
         assert_eq!(replay.events, vec![WalEvent::Rating(a)]);
+        let complete = WalEvent::Rating(a).to_jsonl().len() as u64 + 1;
+        assert_eq!(replay.complete_len, complete);
+
+        // Cutting the tail leaves a log that appends cleanly.
+        truncate_wal(&dir, replay.complete_len).expect("truncate");
+        let mut wal = WalWriter::open(&dir, 1).expect("reopen");
+        wal.append_batch(&[WalEvent::Epoch]).expect("append");
+        let replay = read_wal(&dir).expect("replay");
+        assert!(!replay.torn_tail);
+        assert_eq!(replay.events, vec![WalEvent::Rating(a), WalEvent::Epoch]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -243,6 +243,48 @@ fn a_torn_wal_tail_recovers_to_the_acknowledged_prefix() {
 }
 
 #[test]
+fn appends_after_a_torn_tail_survive_the_next_crash() {
+    // Tear → recover → append → crash → recover: the batch acknowledged
+    // after the first recovery must not be glued onto the torn fragment.
+    for threads in [1usize, 8] {
+        with_threads(threads, || {
+            let crash_dir = scratch("torn-append-crash", threads);
+            let oracle_dir = scratch("torn-append-oracle", threads);
+            let [first, second, third] = batches();
+            {
+                let mut engine = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("open");
+                engine.submit(&first).expect("submit");
+                engine.advance_epoch().expect("epoch");
+                engine.submit(&second).expect("submit");
+            }
+            use std::io::Write;
+            let mut wal = std::fs::OpenOptions::new()
+                .append(true)
+                .open(crash_dir.join("wal.jsonl"))
+                .expect("reopen WAL");
+            wal.write_all(b"{\"event\":\"rating\",\"rater\":99,\"prod")
+                .expect("tear");
+            drop(wal);
+            {
+                let mut engine =
+                    Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+                engine.advance_epoch().expect("epoch");
+                engine.submit(&third).expect("submit");
+                engine.advance_epoch().expect("epoch");
+                // Crash again, right after the acknowledged epoch.
+            }
+
+            let recovered =
+                Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover again");
+            let oracle = uninterrupted(&oracle_dir);
+            let oracle_image = image(&oracle);
+            assert!(!oracle_image.marks.is_empty(), "suspicion set is empty");
+            assert_eq!(image(&recovered), oracle_image, "threads={threads}");
+        });
+    }
+}
+
+#[test]
 fn double_recovery_is_stable() {
     // Recovering, crashing again immediately, and recovering again must
     // land on the same state (recovery is idempotent).

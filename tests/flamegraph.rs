@@ -46,10 +46,11 @@ fn flamegraph_structure_is_deterministic_across_thread_counts() {
     let fg_a = dir.join("a.folded");
     let fg_b = dir.join("b.folded");
 
-    // One serial run, one run at the default pool width: which stacks
-    // appear must not depend on the thread count.
+    // One serial run, one run on a four-worker pool: which stacks appear
+    // must not depend on the thread count. The width is explicit so a
+    // runner with a single core still exercises the parallel path.
     let report = rrs_core::par::with_threads(1, || run_flamegraph(&trace_a, &fg_a));
-    run_flamegraph(&trace_b, &fg_b);
+    rrs_core::par::with_threads(4, || run_flamegraph(&trace_b, &fg_b));
     assert!(report.contains("flamegraph"), "report: {report}");
 
     let body_a = fs::read_to_string(&fg_a).unwrap();
@@ -59,7 +60,7 @@ fn flamegraph_structure_is_deterministic_across_thread_counts() {
     assert!(!stacks_a.is_empty(), "flamegraph has at least one stack");
     assert_eq!(
         stacks_a, stacks_b,
-        "stack structure must be identical at 1 thread and the default pool"
+        "stack structure must be identical at 1 and 4 threads"
     );
 
     // The collapsed-stack format is sorted and duplicate-free, so
