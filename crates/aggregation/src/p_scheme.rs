@@ -210,6 +210,12 @@ impl AggregationScheme for PScheme {
                 trust.discount_all(factor);
             }
             let update = trust.update_epoch(&prefix, period, &marks);
+            // Procedure 1 wrote only the touched records, so the next
+            // detection re-reads only their trust. A discount rewrote
+            // every record: declare nothing and let it resolve them all.
+            if online && self.config.trust_discount.is_none() {
+                online_state.declare_trust_changes(update.touched.iter().copied());
+            }
 
             if rrs_obs::enabled() {
                 // Suspicion-set health telemetry, written serially from
@@ -220,6 +226,8 @@ impl AggregationScheme for PScheme {
                     METRIC_EPOCH_SUSPICIOUS,
                     update.suspicious as f64,
                 );
+            }
+            if rrs_obs::tracing() {
                 record_decisions(
                     &prefix,
                     period,

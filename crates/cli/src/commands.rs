@@ -110,7 +110,8 @@ USAGE:
 GLOBAL FLAGS (any command):
   --quiet          errors only
   --verbosity N    0 = errors .. 3 = debug (default 2)
-Setting RRS_TRACE=1 enables span/metric collection in any command.
+Setting RRS_TRACE=1 enables span/metric collection in any command
+except `serve`, which always collects metrics only.
 
 Datasets are CSV: rater,product,day,value[,source]. Strategies:
 naive-extreme, uniform-spread, camouflage, burst, slow-poison,
@@ -500,9 +501,11 @@ fn lint(args: &Args) -> Result<String, CommandError> {
 /// `rrs serve` — open (or recover) a durable serving directory and run
 /// the HTTP API on it until a `POST /shutdown`.
 ///
-/// Metrics collection is enabled so `GET /metrics` reports live
-/// counters; with `--addr 127.0.0.1:0` the OS picks a free port and
-/// `--addr-file` advertises the bound address for scripts to discover.
+/// The server collects metrics only ([`rrs_serve::COLLECTION`]), whatever
+/// `RRS_TRACE` says: `GET /metrics` reports live counters, while the
+/// span and event sinks, which nothing in a server drains, stay empty.
+/// With `--addr 127.0.0.1:0` the OS picks a free port and `--addr-file`
+/// advertises the bound address for scripts to discover.
 fn serve(args: &Args) -> Result<String, CommandError> {
     check_flags(
         args,
@@ -531,8 +534,8 @@ fn serve(args: &Args) -> Result<String, CommandError> {
         trust_discount: discount,
         ..rrs_serve::EngineConfig::paper(period)
     };
-    // The metrics endpoint serves the live registry; turn collection on.
-    rrs_obs::enable();
+    // The metrics endpoint serves the live registry; spans stay off.
+    rrs_obs::set_collection(rrs_serve::COLLECTION);
     let engine = rrs_serve::Engine::open(Path::new(dir), config)
         .map_err(|e| format!("cannot open serving directory {dir}: {e}"))?;
     let server_config = rrs_serve::ServerConfig {

@@ -276,12 +276,19 @@ impl JointDetector {
         let per_product = rrs_core::par::par_map(view.products(), |_, &(pid, timeline)| {
             (pid, self.detect_product(timeline, horizon, trust))
         });
-        let mut all = BTreeSet::new();
-        for (_, result) in &per_product {
-            all.extend(result.suspicious.iter().copied());
-        }
-        (all, per_product)
+        (union_of_marks(&per_product), per_product)
     }
+}
+
+/// The union of every product's marks. Collecting into a `BTreeSet`
+/// gathers the ids into a `Vec`, sorts it once (a merge of the products'
+/// sorted runs) and bulk-builds the set, where `extend` would insert the
+/// ids one by one.
+pub(crate) fn union_of_marks(per_product: &[(ProductId, DetectionResult)]) -> BTreeSet<RatingId> {
+    per_product
+        .iter()
+        .flat_map(|(_, result)| result.suspicious.iter().copied())
+        .collect()
 }
 
 /// The two-path integration of Fig. 1 over pre-computed detector
@@ -309,7 +316,7 @@ pub(crate) fn integrate_outcomes(
     let _integrate_span = rrs_obs::trace::span("detect.integrate");
     let threshold_a = 0.5 * stream_median;
     let threshold_b = 0.5 * stream_median + 0.5;
-    let mut suspicious = BTreeSet::new();
+    let mut marks = Marks::default();
     let mut hits = Vec::new();
 
     // Path 1: strong attacks. Candidate intervals on the MC side are
@@ -326,14 +333,7 @@ pub(crate) fn integrate_outcomes(
         ] {
             for arc_window in candidate_windows(&arc_out.u_shapes, &arc_out.suspicious) {
                 if let Some(overlap) = mc_window.intersect(arc_window) {
-                    let marked = mark_band(
-                        timeline,
-                        overlap,
-                        band,
-                        threshold_a,
-                        threshold_b,
-                        &mut suspicious,
-                    );
+                    let marked = marks.mark_band(timeline, overlap, band, threshold_a, threshold_b);
                     consumed.push(arc_window);
                     hits.push(PathHit {
                         path: 1,
@@ -389,14 +389,7 @@ pub(crate) fn integrate_outcomes(
                 confirmed.push(arc_interval.window);
             }
             for overlap in confirmed {
-                let marked = mark_band(
-                    timeline,
-                    overlap,
-                    band,
-                    threshold_a,
-                    threshold_b,
-                    &mut suspicious,
-                );
+                let marked = marks.mark_band(timeline, overlap, band, threshold_a, threshold_b);
                 hits.push(PathHit {
                     path: 2,
                     window: overlap,
@@ -407,6 +400,7 @@ pub(crate) fn integrate_outcomes(
         }
     }
 
+    let suspicious: BTreeSet<RatingId> = marks.ids.into_iter().collect();
     if rrs_obs::enabled() {
         for hit in &hits {
             let name = match hit.path {
@@ -474,27 +468,49 @@ fn arc_empty(variant: ArcVariant) -> ArcOutcome {
     }
 }
 
-/// Marks ratings of the given band inside `window`; returns how many were
-/// newly marked.
-fn mark_band(
-    timeline: TimelineView<'_>,
-    window: TimeWindow,
-    band: Band,
-    threshold_a: f64,
-    threshold_b: f64,
-    suspicious: &mut BTreeSet<RatingId>,
-) -> usize {
-    let mut marked = 0;
-    for entry in timeline.in_window(window).iter() {
-        let hit = match band {
-            Band::High => entry.value() > threshold_a,
-            Band::Low => entry.value() < threshold_b,
-        };
-        if hit && suspicious.insert(entry.id()) {
-            marked += 1;
+/// One product's marks while the two paths run: a bitmap over timeline
+/// positions, so a rating marked by several hits costs one bit test per
+/// hit, and the ids in marking order, from which the product's set is
+/// built once.
+#[derive(Default)]
+struct Marks {
+    /// `marked[i]` for timeline position `i`; sized on the first hit.
+    marked: Vec<bool>,
+    ids: Vec<RatingId>,
+}
+
+impl Marks {
+    /// Marks ratings of the given band inside `window`; returns how many
+    /// were newly marked.
+    fn mark_band(
+        &mut self,
+        timeline: TimelineView<'_>,
+        window: TimeWindow,
+        band: Band,
+        threshold_a: f64,
+        threshold_b: f64,
+    ) -> usize {
+        let range = timeline.window_range(window);
+        if range.is_empty() {
+            return 0;
         }
+        if self.marked.is_empty() {
+            self.marked = vec![false; timeline.len()];
+        }
+        let before = self.ids.len();
+        for i in range {
+            let value = timeline.value_at(i);
+            let hit = match band {
+                Band::High => value > threshold_a,
+                Band::Low => value < threshold_b,
+            };
+            if hit && !self.marked[i] {
+                self.marked[i] = true;
+                self.ids.push(timeline.id_at(i));
+            }
+        }
+        self.ids.len() - before
     }
-    marked
 }
 
 #[cfg(test)]

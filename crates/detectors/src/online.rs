@@ -40,12 +40,17 @@
 //!
 //! Rater trust enters the MC segment judge and the Path-2 check as one
 //! per-rating column. The state keeps a dense index of every rater it
-//! has seen and each product's cache one slot per rating, so an epoch
-//! calls the caller's `trust` once per distinct rater — not once per
-//! rating per consumer — and gathers the columns from the resolved
-//! slots. Like the sorted mirror, the index and the slot columns are
-//! derived state: they stay out of [`OnlineSnapshot`] and are re-derived
-//! from the timelines after a restore.
+//! has seen, a trust value per index slot, and each product's cache one
+//! slot per rating, so an epoch calls the caller's `trust` at most once
+//! per distinct rater — not once per rating per consumer — and gathers
+//! the columns from the slot values. The slot values persist across
+//! calls: an epoch loop that knows which raters' trust changed since the
+//! last call declares them ([`OnlineState::declare_trust_changes`]), and
+//! the next call then resolves only those raters and the raters it sees
+//! for the first time. Like the sorted mirror, the index, the slot
+//! values and the slot columns are derived state: they stay out of
+//! [`OnlineSnapshot`] and are re-derived from the timelines after a
+//! restore.
 //!
 //! The cache trusts its caller to feed it *prefix views of one growing
 //! stream* (the epoch loop's shape). Every absorb re-checks the cheap
@@ -56,7 +61,7 @@
 
 use crate::arc::{self, ArcConfig, ArcOutcome, ArcVariant};
 use crate::hc::{self, HcConfig, HcOutcome};
-use crate::integrate::{integrate_outcomes, DetectionResult, JointDetector};
+use crate::integrate::{integrate_outcomes, union_of_marks, DetectionResult, JointDetector};
 use crate::mc::{self, McConfig, McOutcome};
 use crate::me::{self, MeConfig, MeOutcome};
 use rrs_core::{DatasetView, ProductId, RaterId, RatingId, TimeWindow, TimelineView};
@@ -84,12 +89,21 @@ pub struct OnlineState {
 }
 
 /// Dense index over every rater the state has seen: slot `s` names
-/// `raters[s]`. Derived state, never part of a snapshot; a restored
-/// state rebuilds it from the timelines of its first epoch.
+/// `raters[s]`, whose trust under the last call's trust function is
+/// `trust[s]`. Derived state, never part of a snapshot; a restored state
+/// rebuilds it from the timelines of its first epoch.
 #[derive(Debug, Default)]
 struct RaterIndex {
     slot_of: BTreeMap<RaterId, u32>,
     raters: Vec<RaterId>,
+    /// Trust by slot, as the last call resolved it.
+    trust: Vec<f64>,
+    /// Whether `trust` holds the value of *every* slot, not only of the
+    /// slots the last call used (a full resolve leaves unused ones 0.0).
+    complete: bool,
+    /// Raters whose trust may have changed since the last call; `None`
+    /// when the caller declared nothing, which asks for a full resolve.
+    declared: Option<Vec<RaterId>>,
 }
 
 impl RaterIndex {
@@ -106,22 +120,50 @@ impl RaterIndex {
         self.raters.len()
     }
 
-    /// Calls `trust` once for every slot marked in `used` and returns
-    /// the values by slot (0.0 for unused slots). The calls go in
-    /// ascending rater order, which walks a rater-keyed table on the
-    /// caller's side in order.
-    fn resolve<F>(&self, used: &[bool], trust: F) -> Vec<f64>
+    /// Brings `trust` up to date for this call, given that the first
+    /// `seen_before` slots existed before it.
+    ///
+    /// With a declaration and a complete column, only the declared raters
+    /// already seen and the raters first seen in this call are resolved.
+    /// Otherwise every slot in `used` is resolved, in ascending rater
+    /// order (which walks a rater-keyed table on the caller's side in
+    /// order), and unused slots hold 0.0. `used` is only called on that
+    /// full path.
+    fn refresh<F, U>(&mut self, seen_before: usize, used: U, trust: F)
     where
         F: Fn(RaterId) -> f64,
+        U: FnOnce(usize) -> Vec<bool>,
     {
-        let mut by_slot = vec![0.0; self.raters.len()];
-        for (&rater, &slot) in &self.slot_of {
-            let slot = slot as usize;
-            if used[slot] {
-                by_slot[slot] = trust(rater);
+        let declared = self.declared.take();
+        match declared {
+            Some(mut changed) if self.complete && self.trust.len() == seen_before => {
+                changed.sort_unstable();
+                changed.dedup();
+                for rater in changed {
+                    if let Some(&slot) = self.slot_of.get(&rater) {
+                        let slot = slot as usize;
+                        if slot < seen_before {
+                            self.trust[slot] = trust(rater);
+                        }
+                    }
+                }
+                for slot in seen_before..self.raters.len() {
+                    self.trust.push(trust(self.raters[slot]));
+                }
+            }
+            _ => {
+                let used = used(self.raters.len());
+                let mut by_slot = vec![0.0; self.raters.len()];
+                for (&rater, &slot) in &self.slot_of {
+                    let slot = slot as usize;
+                    if used[slot] {
+                        by_slot[slot] = trust(rater);
+                    }
+                }
+                self.trust = by_slot;
+                self.complete = used.iter().all(|&u| u);
             }
         }
-        by_slot
     }
 }
 
@@ -138,6 +180,30 @@ impl OnlineState {
         self.products.len()
     }
 
+    /// Declares that the trust of `raters` may have changed since the
+    /// last [`JointDetector::detect_all_online`] call with this state,
+    /// and that no other rater's did.
+    ///
+    /// The next call then consults its `trust` function only for these
+    /// raters and for raters it sees for the first time; every other
+    /// rater keeps the value the state already holds. Declarations
+    /// accumulate until a call uses them, and an empty declaration is a
+    /// declaration too (nothing changed). A call with no declaration
+    /// pending resolves every rater afresh, which is always correct.
+    ///
+    /// An epoch loop running Procedure 1 declares the raters its trust
+    /// update touched (`TrustUpdate::touched` in `rrs-trust`); a loop
+    /// that discounts every record must declare nothing.
+    pub fn declare_trust_changes<I>(&mut self, raters: I)
+    where
+        I: IntoIterator<Item = RaterId>,
+    {
+        self.raters
+            .declared
+            .get_or_insert_with(Vec::new)
+            .extend(raters);
+    }
+
     /// Captures a self-contained, bit-exact image of the rolling state.
     ///
     /// Every `f64` is carried as its bit pattern, so the image survives
@@ -147,7 +213,9 @@ impl OnlineState {
     /// rater index and slot columns — are *not* stored;
     /// [`OnlineState::restore`] rebuilds them by replaying the exact
     /// push/sort operations the live path uses, which keeps the image
-    /// minimal without costing a single bit of fidelity.
+    /// minimal without costing a single bit of fidelity. The resolved
+    /// trust values and any pending declaration are not stored either: a
+    /// restored state's first call resolves every rater afresh.
     ///
     /// Rolling telemetry is excluded on purpose: it is diagnostics that
     /// never influences detection, and a restored process starts with
@@ -1073,9 +1141,19 @@ impl JointDetector {
     /// `trust` is called at most once per distinct rater of the prefix
     /// per call — on the calling thread, before the fan-out — and each
     /// product's detectors read the resolved values as one per-rating
-    /// column. It must therefore be a pure function of the rater for the
-    /// duration of the call (the epoch loop passes the previous epoch's
-    /// trust, which nothing changes until detection returns).
+    /// column. The purity contract has two parts:
+    ///
+    /// * Within a call, `trust` must be a pure function of the rater
+    ///   (the epoch loop passes the previous epoch's trust, which nothing
+    ///   changes until detection returns).
+    /// * Across calls, the state keeps the resolved values. Without a
+    ///   pending [`OnlineState::declare_trust_changes`], every rater of
+    ///   the prefix is resolved again, so `trust` may be any function. With
+    ///   one, only the declared raters and raters first seen in this call
+    ///   are resolved, and every other rater is read at the value the
+    ///   previous call resolved. The caller promises that no undeclared
+    ///   rater's trust changed in between; a rater whose trust did change
+    ///   undeclared is detected with a stale value.
     ///
     /// Products are independent; state slots are moved out of the map,
     /// carried through [`rrs_core::par::par_map_owned`] (product order,
@@ -1092,6 +1170,7 @@ impl JointDetector {
         F: Fn(RaterId) -> f64 + Sync,
     {
         let view = dataset.into();
+        let seen_before = state.raters.len();
         // Serially, in product order: extend each product's slot column
         // over its new arrivals (the rater index is shared).
         let tasks: Vec<(ProductId, TimelineView<'a>, ProductState)> = view
@@ -1105,13 +1184,20 @@ impl JointDetector {
                 (pid, timeline, product_state)
             })
             .collect();
-        let mut used = vec![false; state.raters.len()];
-        for (_, _, product_state) in &tasks {
-            for &slot in &product_state.cache.slots {
-                used[slot as usize] = true;
-            }
-        }
-        let trust_by_slot = state.raters.resolve(&used, trust);
+        state.raters.refresh(
+            seen_before,
+            |slots| {
+                let mut used = vec![false; slots];
+                for (_, _, product_state) in &tasks {
+                    for &slot in &product_state.cache.slots {
+                        used[slot as usize] = true;
+                    }
+                }
+                used
+            },
+            trust,
+        );
+        let trust_by_slot = &state.raters.trust;
         let mut per_product = Vec::with_capacity(tasks.len());
         for (pid, result, product_state) in
             rrs_core::par::par_map_owned(tasks, |_, (pid, timeline, mut product_state)| {
@@ -1129,10 +1215,7 @@ impl JointDetector {
             state.products.insert(pid, product_state);
             per_product.push((pid, result));
         }
-        let mut all = BTreeSet::new();
-        for (_, result) in &per_product {
-            all.extend(result.suspicious.iter().copied());
-        }
+        let all = union_of_marks(&per_product);
         if rrs_obs::enabled() {
             epoch_gauges(state);
         }
@@ -1538,6 +1621,165 @@ mod tests {
             // Raters recur across ratings, so once per rating would be
             // visibly more.
             assert!(raters.len() < ratings);
+        }
+    }
+
+    #[test]
+    fn declared_call_resolves_only_declared_and_new_raters() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        let mut d = fair_dataset(13);
+        add_burst(&mut d, 40.0, 12, 5, 0.8);
+        let detector = JointDetector::default();
+        let mut state = OnlineState::new();
+        let window = |end: f64| TimeWindow::new(ts(0.0), ts(end)).unwrap();
+        let raters_of = |prefix: &DatasetView<'_>| -> BTreeSet<RaterId> {
+            prefix
+                .products()
+                .iter()
+                .flat_map(|&(_, t)| (0..t.len()).map(move |i| t.rater_at(i)))
+                .collect()
+        };
+        // The first call has nothing to patch: it resolves every rater.
+        let first = d.prefix_view(window(30.0));
+        detector.detect_all_online(&first, window(30.0), trust_fn, &mut state);
+        let mut seen = raters_of(&first);
+        for (step, &end) in [45.0, 60.0, 75.0, 90.0].iter().enumerate() {
+            let prefix = d.prefix_view(window(end));
+            let now = raters_of(&prefix);
+            let new: BTreeSet<RaterId> = now.difference(&seen).copied().collect();
+            // Declare every third seen rater, one rater twice, and one
+            // rater the state has never seen.
+            let declared: Vec<RaterId> = seen.iter().copied().skip(step).step_by(3).collect();
+            state.declare_trust_changes(declared.iter().copied());
+            state.declare_trust_changes(declared.first().copied());
+            state.declare_trust_changes([RaterId::new(999_999)]);
+            let calls = AtomicUsize::new(0);
+            let asked = Mutex::new(Vec::new());
+            let counting = |r: RaterId| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                asked.lock().unwrap().push(r);
+                trust_fn(r)
+            };
+            let (marks, results) =
+                detector.detect_all_online(&prefix, window(end), counting, &mut state);
+            let (batch_marks, batch_results) = detector.detect_all(&prefix, window(end), trust_fn);
+            assert_eq!(marks, batch_marks, "marks diverged at end={end}");
+            assert_eq!(results, batch_results, "results diverged at end={end}");
+            let calls = calls.load(Ordering::SeqCst);
+            assert!(
+                calls <= declared.len() + new.len(),
+                "{calls} trust calls for {} declared and {} new raters at end={end}",
+                declared.len(),
+                new.len()
+            );
+            let asked: BTreeSet<RaterId> = asked.into_inner().unwrap().into_iter().collect();
+            assert_eq!(
+                asked.len(),
+                calls,
+                "a rater was resolved twice at end={end}"
+            );
+            assert!(asked
+                .iter()
+                .all(|r| declared.contains(r) || new.contains(r)));
+            // Far fewer calls than a full resolve of the prefix.
+            assert!(calls < now.len(), "{calls} calls for {} raters", now.len());
+            seen = now;
+        }
+    }
+
+    #[test]
+    fn undeclared_call_after_a_declaration_resolves_everyone() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let d = fair_dataset(14);
+        let detector = JointDetector::default();
+        let mut state = OnlineState::new();
+        let window = TimeWindow::new(ts(0.0), ts(60.0)).unwrap();
+        let prefix = d.prefix_view(window);
+        state.declare_trust_changes([]);
+        detector.detect_all_online(&prefix, window, trust_fn, &mut state);
+        // The declaration was used up; the next call resolves all.
+        let calls = AtomicUsize::new(0);
+        let counting = |r: RaterId| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            trust_fn(r) * 0.5
+        };
+        let (marks, _) = detector.detect_all_online(&prefix, window, counting, &mut state);
+        let (batch_marks, _) = detector.detect_all(&prefix, window, |r| trust_fn(r) * 0.5);
+        assert_eq!(marks, batch_marks);
+        let raters: BTreeSet<RaterId> = prefix
+            .products()
+            .iter()
+            .flat_map(|&(_, t)| (0..t.len()).map(move |i| t.rater_at(i)))
+            .collect();
+        assert_eq!(calls.load(Ordering::SeqCst), raters.len());
+    }
+
+    #[test]
+    fn declaration_after_a_swapped_dataset_resolves_everyone() {
+        // While the state detects dataset B without a declaration, the
+        // burst raters of A are in the index but unused, so the full
+        // resolve leaves their values unset. Back on A with a
+        // declaration pending, the call must not read those values: it
+        // resolves every rater instead.
+        let mut a = fair_dataset(16);
+        add_burst(&mut a, 40.0, 12, 5, 0.8);
+        let b = fair_dataset(17);
+        let detector = JointDetector::default();
+        let mut state = OnlineState::new();
+        for (d, end, declare) in [(&a, 60.0, false), (&b, 60.0, false), (&a, 90.0, true)] {
+            let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+            let prefix = d.prefix_view(window);
+            if declare {
+                state.declare_trust_changes([]);
+            }
+            let (marks, results) =
+                detector.detect_all_online(&prefix, window, trust_fn, &mut state);
+            let (batch_marks, batch_results) = detector.detect_all(&prefix, window, trust_fn);
+            assert_eq!(marks, batch_marks, "marks diverged at end={end}");
+            assert_eq!(results, batch_results, "results diverged at end={end}");
+        }
+    }
+
+    #[test]
+    fn restored_state_resolves_every_rater_before_patching() {
+        // The trust column is derived state: a restored state holds
+        // none, so its first call resolves everyone even with a
+        // declaration pending, and agrees with the live state.
+        let mut d = fair_dataset(15);
+        add_burst(&mut d, 40.0, 12, 5, 0.8);
+        let detector = JointDetector::default();
+        let mut live = OnlineState::new();
+        for &end in &[30.0, 60.0] {
+            let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+            let prefix = d.prefix_view(window);
+            detector.detect_all_online(&prefix, window, trust_fn, &mut live);
+        }
+        let mut restored = OnlineState::restore(&live.snapshot());
+        assert!(restored.raters.trust.is_empty());
+        for &end in &[75.0, 90.0] {
+            let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+            let prefix = d.prefix_view(window);
+            live.declare_trust_changes([]);
+            restored.declare_trust_changes([]);
+            let (live_marks, live_results) =
+                detector.detect_all_online(&prefix, window, trust_fn, &mut live);
+            let (rest_marks, rest_results) =
+                detector.detect_all_online(&prefix, window, trust_fn, &mut restored);
+            assert_eq!(live_marks, rest_marks, "marks diverged at end={end}");
+            assert_eq!(live_results, rest_results, "results diverged at end={end}");
+            // Slots are numbered in first-seen order, which differs
+            // between the two; the values by rater must not.
+            let by_rater = |state: &OnlineState| -> BTreeMap<RaterId, u64> {
+                let index = &state.raters;
+                index
+                    .raters
+                    .iter()
+                    .zip(&index.trust)
+                    .map(|(&r, t)| (r, t.to_bits()))
+                    .collect()
+            };
+            assert_eq!(by_rater(&live), by_rater(&restored));
         }
     }
 

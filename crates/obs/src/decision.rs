@@ -10,7 +10,7 @@
 //! deterministic and can be golden-tested.
 //!
 //! Records are pushed into a global thread-safe buffer via [`record`]
-//! while collection is [enabled](crate::enabled) and taken out with
+//! while [tracing](crate::tracing) is on and taken out with
 //! [`drain`]; [`crate::export`] renders them as JSONL.
 
 use rrs_core::io::{json_number, json_string};
@@ -171,10 +171,10 @@ impl DecisionRecord {
     }
 }
 
-/// Pushes a record into the global buffer (dropped when collection is
-/// disabled) and feeds it through the [flight recorder](crate::recorder).
+/// Pushes a record into the global buffer (dropped unless tracing is on)
+/// and feeds it through the [flight recorder](crate::recorder).
 pub fn record(r: DecisionRecord) {
-    if !crate::enabled() {
+    if !crate::tracing() {
         return;
     }
     crate::recorder::record_decision(&r);

@@ -28,15 +28,27 @@
 //!
 //! # Enablement and cost
 //!
-//! The tracer, metrics, and decision buffer share **one** global switch:
-//! [`enable`]/[`disable`]/[`enabled`], initialised from the `RRS_TRACE`
-//! environment variable by [`init_from_env`]. When disabled (the
-//! default) every instrumentation call is a single relaxed atomic load —
-//! no clock reads, no locks, no allocation — so instrumented hot paths
-//! run at full speed. `crates/bench/tests/overhead.rs` holds a bound on
-//! that disabled-mode cost.
+//! One global [`Collection`] level gates every sink. At
+//! [`Collection::Metrics`] only the [`metrics`] registry records; at
+//! [`Collection::Full`] the tracer's spans and events, the decision
+//! buffer and the flight recorder record as well. [`enable`] and
+//! [`disable`] switch between `Full` and `Off`, [`set_collection`]
+//! picks any level, and [`init_from_env`] turns `Full` on from the
+//! `RRS_TRACE` environment variable. [`enabled`] answers "are metrics
+//! on", [`tracing`] "are spans, events and decision records on".
 //!
-//! The logger is independent of the switch: it is always "on" and only
+//! Every command enables `Full` under `RRS_TRACE=1` except `rrs serve`,
+//! which runs at `Metrics` whatever the environment says: a live server
+//! reports through `GET /metrics`, and nothing in it ever drains the
+//! span and event sinks, so they would grow with every epoch.
+//!
+//! When a sink is off, every instrumentation call into it is a single
+//! relaxed atomic load — no clock reads, no locks, no allocation — so
+//! instrumented hot paths run at full speed.
+//! `crates/bench/tests/overhead.rs` holds a bound on that disabled-mode
+//! cost.
+//!
+//! The logger is independent of the level: it is always "on" and only
 //! gated by its verbosity level, because CLI output must work without
 //! tracing.
 //!
@@ -77,34 +89,71 @@ pub mod recorder;
 pub mod sketch;
 pub mod trace;
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Returns `true` when observability collection is on.
+/// Which sinks record.
 ///
-/// This is the only cost instrumented code pays when tracing is off: a
-/// single relaxed atomic load.
+/// Each level records everything the one before it does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Collection {
+    /// Nothing records.
+    Off,
+    /// Only the metrics registry records: counters, gauges, histograms
+    /// and sketches. Spans, events, decision records and the flight
+    /// recorder stay empty, so memory stays bounded however long the
+    /// process runs.
+    Metrics,
+    /// Every sink records.
+    Full,
+}
+
+static LEVEL: AtomicU8 = AtomicU8::new(Collection::Off as u8);
+
+#[inline]
+fn level() -> u8 {
+    LEVEL.load(Ordering::Relaxed)
+}
+
+/// Returns `true` when the metrics registry records (at
+/// [`Collection::Metrics`] and above).
+///
+/// This is the only cost instrumented code pays when collection is off:
+/// a single relaxed atomic load.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    level() >= Collection::Metrics as u8
 }
 
-/// Turns span, metrics, and decision-trace collection on.
+/// Returns `true` when spans, events, decision records and the flight
+/// recorder record (at [`Collection::Full`] only).
+#[inline]
+#[must_use]
+pub fn tracing() -> bool {
+    level() == Collection::Full as u8
+}
+
+/// Sets the collection level.
+///
+/// Already-collected data stays in the sinks until [`reset`] or a drain.
+pub fn set_collection(collection: Collection) {
+    LEVEL.store(collection as u8, Ordering::Relaxed);
+}
+
+/// Turns every sink on ([`Collection::Full`]).
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    set_collection(Collection::Full);
 }
 
-/// Turns span, metrics, and decision-trace collection off.
+/// Turns every sink off ([`Collection::Off`]).
 ///
 /// Already-collected data stays in the sinks until [`reset`] or a drain.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    set_collection(Collection::Off);
 }
 
-/// Initialises the switch from the environment: `RRS_TRACE` set to
-/// anything but `0` or the empty string enables collection.
+/// Initialises the level from the environment: `RRS_TRACE` set to
+/// anything but `0` or the empty string enables [`Collection::Full`].
 pub fn init_from_env() {
     match std::env::var("RRS_TRACE") {
         Ok(v) if !v.is_empty() && v != "0" => enable(),
@@ -138,5 +187,25 @@ mod tests {
         assert!(enabled());
         disable();
         assert!(!enabled());
+    }
+
+    #[test]
+    fn metrics_level_records_metrics_but_no_spans_or_events() {
+        let _guard = trace::tests_lock();
+        reset();
+        set_collection(Collection::Metrics);
+        assert!(enabled() && !tracing());
+        {
+            let _span = trace::span("stage.metrics_only");
+            trace::event("stage.note", || panic!("must not be called"));
+            metrics::counter_add("example.calls", 1);
+        }
+        let spans = trace::drain_spans();
+        let events = trace::drain_events();
+        let snapshot = metrics::snapshot();
+        reset();
+        disable();
+        assert!(spans.is_empty() && events.is_empty());
+        assert_eq!(snapshot.counters.get("example.calls"), Some(&1));
     }
 }

@@ -2,7 +2,7 @@
 //! mergeable quantile sketches.
 //!
 //! All writes go through free functions against one global registry and
-//! are no-ops while collection is [disabled](crate::enabled).
+//! are no-ops while metrics collection is [off](crate::enabled).
 //! [`snapshot`] returns an owned, ordered copy of every metric —
 //! deterministic given deterministic inputs, since nothing here reads a
 //! clock. Counter adds and sketch observations commute (integer
@@ -37,6 +37,27 @@ struct Inner {
 fn with_inner<T>(f: impl FnOnce(&mut Inner) -> T) -> Option<T> {
     let mut slot = REGISTRY.lock().ok()?;
     Some(f(slot.get_or_insert_with(Inner::default)))
+}
+
+/// Applies `update` to the named series, creating it with `new` on
+/// first sight. A series that already exists is found without
+/// allocating its name: updates come from hot loops (the detector
+/// workers), and only the first one pays for the key.
+fn update_series<V, T>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V) -> T,
+) -> T {
+    match map.get_mut(name) {
+        Some(value) => update(value),
+        None => {
+            let mut value = new();
+            let out = update(&mut value);
+            map.insert(name.to_string(), value);
+            out
+        }
+    }
 }
 
 /// A fixed-bucket histogram: `counts[i]` holds observations at or below
@@ -92,7 +113,7 @@ pub fn counter_add(name: &str, by: u64) {
         return;
     }
     with_inner(|inner| {
-        *inner.counters.entry(name.to_string()).or_insert(0) += by;
+        update_series(&mut inner.counters, name, || 0, |count| *count += by);
     });
 }
 
@@ -103,7 +124,7 @@ pub fn gauge_set(name: &str, value: f64) {
         return;
     }
     with_inner(|inner| {
-        inner.gauges.insert(name.to_string(), value);
+        update_series(&mut inner.gauges, name, || value, |gauge| *gauge = value);
     });
 }
 
@@ -121,32 +142,35 @@ pub fn observe(name: &str, value: f64, bounds: &[f64]) {
         return;
     }
     with_inner(|inner| {
-        let conflicting = {
-            let h = inner
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(bounds));
-            let conflicting = h.bounds.len() != bounds.len()
-                || h.bounds
-                    .iter()
-                    .zip(bounds)
-                    .any(|(a, b)| a.to_bits() != b.to_bits());
-            if conflicting {
-                crate::rrs_error!(
-                    "histogram bounds conflict: metric={name} registered={:?} offered={:?} \
+        let conflicting = update_series(
+            &mut inner.histograms,
+            name,
+            || Histogram::new(bounds),
+            |h| {
+                let conflicting = h.bounds.len() != bounds.len()
+                    || h.bounds
+                        .iter()
+                        .zip(bounds)
+                        .any(|(a, b)| a.to_bits() != b.to_bits());
+                if conflicting {
+                    crate::rrs_error!(
+                        "histogram bounds conflict: metric={name} registered={:?} offered={:?} \
                      (first registration kept)",
-                    h.bounds,
-                    bounds
-                );
-            }
-            h.observe(value);
-            conflicting
-        };
+                        h.bounds,
+                        bounds
+                    );
+                }
+                h.observe(value);
+                conflicting
+            },
+        );
         if conflicting {
-            *inner
-                .counters
-                .entry(METRIC_BOUNDS_CONFLICTS.to_string())
-                .or_insert(0) += 1;
+            update_series(
+                &mut inner.counters,
+                METRIC_BOUNDS_CONFLICTS,
+                || 0,
+                |count| *count += 1,
+            );
         }
     });
 }
@@ -161,11 +185,9 @@ pub fn observe_quantile(name: &str, value: f64) {
         return;
     }
     with_inner(|inner| {
-        inner
-            .sketches
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        update_series(&mut inner.sketches, name, QuantileSketch::default, |s| {
+            s.observe(value);
+        });
     });
 }
 
@@ -177,11 +199,9 @@ pub fn merge_quantile(name: &str, sketch: &QuantileSketch) {
         return;
     }
     with_inner(|inner| {
-        inner
-            .sketches
-            .entry(name.to_string())
-            .or_default()
-            .merge(sketch);
+        update_series(&mut inner.sketches, name, QuantileSketch::default, |s| {
+            s.merge(sketch);
+        });
     });
 }
 

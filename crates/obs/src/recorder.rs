@@ -13,7 +13,7 @@
 //!
 //! Memory is bounded on every axis: per-product window, span ring, and
 //! the dump list itself (overflow is counted, not stored). Everything
-//! is gated on the global [switch](crate::enabled), so the disabled-mode
+//! is gated on the global [tracing level](crate::tracing), so the off-mode
 //! cost of an append is a single relaxed atomic load.
 //!
 //! Dump bodies embed decision records, which are deterministic, and the
@@ -73,11 +73,10 @@ pub fn set_capacity(capacity: usize) {
 }
 
 /// Appends a completed span to the context ring. Called by the tracer
-/// on span drop; a no-op (one atomic load) while collection is
-/// disabled.
+/// on span drop; a no-op (one atomic load) while tracing is off.
 #[inline]
 pub fn note_span(record: &SpanRecord) {
-    if !crate::enabled() {
+    if !crate::tracing() {
         return;
     }
     with_inner(|inner| {
@@ -90,10 +89,9 @@ pub fn note_span(record: &SpanRecord) {
 
 /// Feeds one decision record through the recorder: appends it to its
 /// product's ring and, if any detector fired, snapshots the ring (plus
-/// the span context) into the dump list. A no-op while collection is
-/// disabled.
+/// the span context) into the dump list. A no-op while tracing is off.
 pub fn record_decision(record: &DecisionRecord) {
-    if !crate::enabled() {
+    if !crate::tracing() {
         return;
     }
     let body = record.to_json();

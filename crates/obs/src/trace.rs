@@ -2,7 +2,7 @@
 //! sink, with parent/child structure.
 //!
 //! A *span* measures one region of code: [`span`] starts the clock (only
-//! when collection is [enabled](crate::enabled)) and the returned guard
+//! when [tracing](crate::tracing) is on) and the returned guard
 //! records elapsed nanoseconds into the sink on drop. Span names are
 //! dotted `stage.detail` strings; [`stage_totals`] folds them into
 //! per-stage totals for bench breakdowns.
@@ -20,7 +20,7 @@
 //! (own nanoseconds minus direct children) as the sample value.
 //!
 //! An *event* is a named point-in-time note with a lazily built message —
-//! the closure only runs when collection is enabled, so formatting costs
+//! the closure only runs when tracing is on, so formatting costs
 //! nothing on the disabled path.
 
 use std::cell::RefCell;
@@ -66,8 +66,8 @@ pub struct EventRecord {
 
 /// An in-flight span; records itself into the sink when dropped.
 ///
-/// Inert (no clock was read, no id allocated) when collection was
-/// disabled at creation.
+/// Inert (no clock was read, no id allocated) when tracing was off at
+/// creation.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
@@ -106,12 +106,12 @@ impl Drop for Span {
 }
 
 /// Opens a span. Bind the guard (`let _span = ...`) so it covers the
-/// intended region; when collection is disabled this is a single atomic
+/// intended region; when tracing is off this is a single atomic
 /// load and no clock is read.
 #[inline]
 #[must_use]
 pub fn span(name: &'static str) -> Span {
-    if !crate::enabled() {
+    if !crate::tracing() {
         return Span {
             name,
             start: None,
@@ -137,11 +137,10 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Records an event. The message closure only runs when collection is
-/// enabled.
+/// Records an event. The message closure only runs when tracing is on.
 #[inline]
 pub fn event<F: FnOnce() -> String>(name: &'static str, message: F) {
-    if !crate::enabled() {
+    if !crate::tracing() {
         return;
     }
     let record = EventRecord {

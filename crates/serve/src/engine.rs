@@ -334,7 +334,9 @@ impl Engine {
     /// The in-memory epoch step, shared by the live path and WAL
     /// replay. Mirrors `PScheme::evaluate` exactly: detect with the
     /// previous epoch's trust over the full prefix, then update trust
-    /// over this period's ratings with the fresh marks.
+    /// over this period's ratings with the fresh marks, and declare the
+    /// raters whose trust that update wrote (none under a discount, which
+    /// rewrites every record) so the next detection re-reads only those.
     fn apply_epoch(&mut self) {
         let index = self.epochs as f64;
         let period = TimeWindow::ordered(
@@ -355,7 +357,14 @@ impl Engine {
         if let Some(factor) = self.config.trust_discount {
             self.trust.discount_all(factor);
         }
-        self.trust.update_epoch(&prefix, period, &marks);
+        let update = self.trust.update_epoch(&prefix, period, &marks);
+        // Procedure 1 wrote only the touched records, so the next
+        // detection re-reads only their trust. A discount rewrote every
+        // record: declare nothing and let it resolve them all.
+        if self.config.trust_discount.is_none() {
+            self.online
+                .declare_trust_changes(update.touched.iter().copied());
+        }
         self.marks = marks;
         self.epochs += 1;
     }

@@ -104,6 +104,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         411 => "Length Required",
         413 => "Content Too Large",
         414 => "URI Too Long",
@@ -256,7 +257,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Parsed, HttpError> {
     let mut body = vec![0u8; length];
     reader
         .read_exact(&mut body)
-        .map_err(|_| HttpError::new(400, "connection closed inside the body"))?;
+        .map_err(|e| read_error(&e, "connection closed inside the body"))?;
     Ok(Parsed::Request(Request {
         body,
         close,
@@ -284,7 +285,7 @@ fn read_crlf_line<R: BufRead>(
                 return Err(HttpError::new(400, "connection closed mid-line"));
             }
             Ok(_) => {}
-            Err(e) => return Err(HttpError::new(400, format!("read failed: {e}"))),
+            Err(e) => return Err(read_error(&e, "read failed")),
         }
         match byte[0] {
             b'\n' => {
@@ -306,6 +307,19 @@ fn read_crlf_line<R: BufRead>(
                 line.push(b);
             }
         }
+    }
+}
+
+/// The rejection for a failed read: 408 when a socket read timeout
+/// expired (`WouldBlock` on Unix, `TimedOut` on Windows), else a 400
+/// carrying `what`.
+fn read_error(e: &std::io::Error, what: &str) -> HttpError {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            HttpError::new(408, "no request data within the read timeout")
+        }
+        std::io::ErrorKind::UnexpectedEof => HttpError::new(400, what),
+        _ => HttpError::new(400, format!("{what}: {e}")),
     }
 }
 
@@ -588,6 +602,51 @@ mod tests {
             status_of(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             501
         );
+    }
+
+    /// A reader that yields `prefix`, then fails every read with `kind`
+    /// — what a socket whose read timeout expired does.
+    struct Stalled {
+        prefix: Cursor<Vec<u8>>,
+        kind: std::io::ErrorKind,
+    }
+
+    impl std::io::Read for Stalled {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.prefix.read(buf)? {
+                0 => Err(std::io::Error::new(self.kind, "timed out")),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn timed_out_reads_are_408() {
+        use std::io::{BufReader, ErrorKind};
+        for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+            for prefix in [
+                &b""[..],
+                b"GET /heal",
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+                b"POST /ratings HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+            ] {
+                let mut reader = BufReader::new(Stalled {
+                    prefix: Cursor::new(prefix.to_vec()),
+                    kind,
+                });
+                match read_request(&mut reader) {
+                    Err(e) => assert_eq!(e.status, 408, "{kind:?} after {prefix:?}: {e}"),
+                    other => panic!("{kind:?} after {prefix:?}: expected 408, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(reason(408), "Request Timeout");
+        // Any other read failure stays a 400.
+        let mut reader = BufReader::new(Stalled {
+            prefix: Cursor::new(Vec::new()),
+            kind: ErrorKind::ConnectionReset,
+        });
+        assert!(matches!(read_request(&mut reader), Err(e) if e.status == 400));
     }
 
     #[test]

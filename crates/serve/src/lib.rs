@@ -41,5 +41,5 @@ pub use checkpoint::Checkpoint;
 pub use dto::{parse_submission, parse_submission_body, RatingSubmission};
 pub use engine::{Engine, EngineConfig, ProductScore, SuspiciousRating, TrustView};
 pub use http::{HttpError, Method, Request, Response};
-pub use server::{ConnectionOutcome, Server, ServerConfig};
+pub use server::{ConnectionOutcome, Server, ServerConfig, COLLECTION};
 pub use wal::{WalEvent, WalWriter};

@@ -43,6 +43,18 @@ use rrs_obs::{rrs_info, rrs_warn};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::time::Duration;
+
+/// The [`rrs_obs`] collection level a live server runs at: metrics
+/// only. `GET /metrics` serves the registry, whose size is bounded by
+/// its series names; spans, events and decision records would pile up
+/// with every epoch, since nothing in a server ever drains them.
+pub const COLLECTION: rrs_obs::Collection = rrs_obs::Collection::Metrics;
+
+/// How long one read or write on an accepted connection may block. A
+/// client that sends nothing for this long is answered 408 and closed,
+/// so an idle keep-alive connection cannot hold the serial accept loop.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How the TCP front door binds and advertises itself.
 #[derive(Debug, Clone)]
@@ -273,7 +285,10 @@ impl Server {
     }
 
     /// Binds, optionally advertises the bound address, and serves
-    /// connections serially until a `POST /shutdown`.
+    /// connections serially until a `POST /shutdown`. Each connection's
+    /// reads and writes time out after 2 s; a read that times out is
+    /// answered `408 Request Timeout` and the connection closed, so one
+    /// idle client delays the others by at most that long.
     ///
     /// # Errors
     ///
@@ -300,6 +315,13 @@ impl Server {
                     continue;
                 }
             };
+            if let Err(e) = stream
+                .set_read_timeout(Some(IO_TIMEOUT))
+                .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
+            {
+                rrs_warn!("cannot set socket timeouts: {e}");
+                continue;
+            }
             let outcome = self.handle(stream);
             if outcome.shutdown {
                 rrs_info!("shutdown requested; {} epochs served", self.engine.epochs());
@@ -567,6 +589,70 @@ mod tests {
         );
         assert_eq!(outcome.requests, 1);
         assert_eq!(response.matches("HTTP/1.1").count(), 1, "got {response}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn an_idle_client_cannot_hold_the_server() {
+        use std::net::{SocketAddr, TcpStream};
+        use std::time::{Duration, Instant};
+        let dir = scratch("idle");
+        let addr_file = dir.with_extension("addr");
+        let _ = std::fs::remove_file(&addr_file);
+        let mut server = server(&dir);
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            addr_file: Some(addr_file.clone()),
+        };
+        let serving = std::thread::spawn(move || server.run(&config));
+        let started = Instant::now();
+        let addr: SocketAddr = loop {
+            if let Some(addr) = std::fs::read_to_string(&addr_file)
+                .ok()
+                .and_then(|text| text.trim().parse().ok())
+            {
+                break addr;
+            }
+            assert!(started.elapsed() < Duration::from_secs(10), "no address");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let ask = |request: &[u8]| -> String {
+            let mut client = TcpStream::connect(addr).expect("connect");
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            client.write_all(request).expect("send");
+            let mut reply = String::new();
+            client.read_to_string(&mut reply).expect("read reply");
+            reply
+        };
+
+        // A connects first and sends nothing; the serial loop takes it.
+        let mut idle = TcpStream::connect(addr).expect("connect A");
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        let reply = ask(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        let waited = asked.elapsed();
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "got {reply}");
+        assert!(
+            waited < IO_TIMEOUT + Duration::from_secs(1),
+            "B waited {waited:?} behind an idle client"
+        );
+        // A was answered 408 and closed: the reply, then EOF.
+        idle.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut answer = String::new();
+        idle.read_to_string(&mut answer).expect("read to EOF");
+        assert!(
+            answer.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "got {answer}"
+        );
+        assert!(answer.contains("Connection: close\r\n"), "got {answer}");
+
+        let reply = ask(b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "got {reply}");
+        serving.join().expect("server thread").expect("server run");
+        let _ = std::fs::remove_file(&addr_file);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -1,0 +1,183 @@
+//! Served = paper: the serving engine computes what the paper's scheme
+//! computes.
+//!
+//! A small Rating Challenge stream, attacked, is fed to an `Engine` one
+//! scoring period per batch, each batch followed by an epoch — what a
+//! client does with `POST /ratings` and `POST /epochs`. The same ratings,
+//! in the same insertion order, go through `PScheme::evaluate` with
+//! cumulative scoring and the same period. The scheme runs its batch
+//! detection, which re-derives every curve and resolves every rater's
+//! trust on each epoch, so it shares no incremental state and no trust
+//! column with the engine. Then:
+//!
+//! * after every epoch, each product's served score equals that period's
+//!   paper score bit for bit;
+//! * the union of the engine's per-epoch suspicion sets equals the
+//!   scheme's suspicion set;
+//! * the final trust values are equal bit for bit.
+//!
+//! Each case runs with `trust_discount` unset, where the engine declares
+//! the raters its trust update wrote and detection patches its trust
+//! column, and set, where every epoch resolves every rater. The other
+//! serving gates compare the server only with a replay of its own
+//! handler, so they cannot see it drift from the paper's scheme.
+
+use rrs::aggregation::{PScheme, PSchemeConfig};
+use rrs::attack::AttackStrategy;
+use rrs::challenge::{ChallengeConfig, RatingChallenge};
+use rrs::core::rng::Xoshiro256pp;
+use rrs::core::{prop_assert, props, AggregationScheme, Days, EvalContext, RatingDataset};
+use rrs::detectors::DetectorConfig;
+use rrs::serve::{Engine, EngineConfig, RatingSubmission};
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+
+/// The attacked challenge stream, ordered by scoring period and, within
+/// a period, by original insertion order.
+fn stream(seed: u64, strategy: usize, period_days: f64) -> Vec<(usize, RatingSubmission)> {
+    let challenge = RatingChallenge::generate(&ChallengeConfig::small(), seed);
+    let attack = match strategy {
+        0 => AttackStrategy::NaiveExtreme {
+            start_day: 35.0,
+            duration_days: 10.0,
+        },
+        1 => AttackStrategy::Camouflage {
+            bias: 2.0,
+            std_dev: 0.8,
+            start_day: 35.0,
+            duration_days: 15.0,
+        },
+        _ => AttackStrategy::SlowPoison {
+            bias: 2.0,
+            std_dev: 0.6,
+        },
+    };
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let sequence = attack.build(&challenge.attack_context(), &mut rng);
+    let attacked = challenge.attacked_dataset(&sequence);
+    let mut entries: Vec<_> = attacked.iter().collect();
+    entries.sort_by_key(|e| ((e.time().as_days() / period_days).floor() as usize, e.id()));
+    entries
+        .into_iter()
+        .map(|e| {
+            let period = (e.time().as_days() / period_days).floor() as usize;
+            let rating = e.rating();
+            let submission = RatingSubmission {
+                rater: rating.rater(),
+                product: rating.product(),
+                day: rating.time(),
+                value: rating.value(),
+                source: e.source(),
+            };
+            (period, submission)
+        })
+        .collect()
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("served-paper-{name}"));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("clean scratch dir");
+    }
+    dir
+}
+
+fn check(seed: u64, strategy: usize, period_days: f64, trust_discount: Option<f64>) {
+    let horizon_days = ChallengeConfig::small().fair.horizon_days;
+    let periods = (horizon_days / period_days).round() as usize;
+    let stream = stream(seed, strategy, period_days);
+    assert!(
+        stream.iter().all(|(p, _)| *p < periods),
+        "a rating lies past the horizon"
+    );
+
+    // The paper's scheme over the same ratings in the same order.
+    let mut dataset = RatingDataset::new();
+    for (_, s) in &stream {
+        dataset.insert(s.rating(), s.source);
+    }
+    let horizon = rrs::core::TimeWindow::new(
+        rrs::core::Timestamp::ZERO,
+        rrs::core::Timestamp::new(horizon_days).expect("valid horizon"),
+    )
+    .expect("valid horizon");
+    let ctx = EvalContext::new(horizon, Days::new(period_days).expect("valid period"));
+    assert_eq!(ctx.periods().len(), periods);
+    let paper = PScheme::with_config(PSchemeConfig {
+        trust_discount,
+        online_detection: Some(false),
+        watchdog_every: Some(0),
+        ..PSchemeConfig::paper()
+    })
+    .evaluate(&dataset, &ctx);
+
+    // The engine, one period per batch, an epoch after each.
+    let dir = scratch(&format!(
+        "{seed}-{strategy}-{period_days}-{}",
+        trust_discount.is_some()
+    ));
+    let config = EngineConfig {
+        detectors: DetectorConfig::paper(),
+        filter_trust_threshold: 0.5,
+        trust_discount,
+        ..EngineConfig::paper(period_days)
+    };
+    let mut engine = Engine::open(&dir, config).expect("open engine");
+    let mut served_marks = BTreeSet::new();
+    for period in 0..periods {
+        let batch: Vec<RatingSubmission> = stream
+            .iter()
+            .filter(|(p, _)| *p == period)
+            .map(|(_, s)| *s)
+            .collect();
+        engine.submit(&batch).expect("submit");
+        engine.advance_epoch().expect("epoch");
+        served_marks.extend(engine.suspicious().iter().copied());
+        for (product, scores) in paper.iter_scores() {
+            let served = engine.score_of(product).and_then(|r| r.score);
+            prop_assert!(
+                served.map(f64::to_bits) == scores[period].map(f64::to_bits),
+                "product {} at epoch {period}: served {served:?}, paper {:?}",
+                product.value(),
+                scores[period]
+            );
+        }
+    }
+    prop_assert!(
+        !served_marks.is_empty(),
+        "nothing was marked; the check would be vacuous"
+    );
+    prop_assert!(
+        &served_marks == paper.suspicious(),
+        "suspicion sets differ: served {}, paper {}",
+        served_marks.len(),
+        paper.suspicious().len()
+    );
+    let served_trust: Vec<(u32, u64)> = engine
+        .trust_table()
+        .iter()
+        .map(|v| (v.rater.value(), v.trust.to_bits()))
+        .collect();
+    let paper_trust: Vec<(u32, u64)> = paper
+        .trust_map()
+        .iter()
+        .map(|(r, t)| (r.value(), t.to_bits()))
+        .collect();
+    prop_assert!(served_trust == paper_trust, "final trust tables differ");
+    drop(engine);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+props! {
+    #![cases(3)]
+    #[test]
+    fn served_epochs_equal_the_paper_scheme(
+        seed in 0u64..1_000,
+        strategy in 0usize..3,
+        period_choice in 0usize..2,
+    ) {
+        let period_days = [10.0, 15.0][period_choice];
+        check(seed, strategy, period_days, None);
+        check(seed, strategy, period_days, Some(0.8));
+    }
+}
