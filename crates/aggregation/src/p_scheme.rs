@@ -210,6 +210,7 @@ impl AggregationScheme for PScheme {
                 trust.discount_all(factor);
             }
             let update = trust.update_epoch(&prefix, period, &marks);
+            trust.publish_gauges();
             // Procedure 1 wrote only the touched records, so the next
             // detection re-reads only their trust. A discount rewrote
             // every record: declare nothing and let it resolve them all.

@@ -15,6 +15,7 @@
 //!   10,000,000; CI runs at 1,000,000).
 //! * `RRS_BENCH_OUT` — output directory for the JSON (default `.`).
 
+use rrs_bench::harness::machine_json;
 use rrs_core::rng::{RrsRng, Xoshiro256pp};
 use rrs_core::{ProductId, RaterId, Rating, RatingDataset, RatingSource, RatingValue, Timestamp};
 use rrs_obs::sketch::QuantileSketch;
@@ -146,11 +147,12 @@ fn main() {
     let dir = std::env::var("RRS_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
     let path = format!("{dir}/BENCH_ingest.json");
     let json = format!(
-        "{{\n  \"suite\": \"ingest\",\n  \"ratings\": {},\n  \"products\": {},\n  \
+        "{{\n  \"suite\": \"ingest\",\n{}  \"ratings\": {},\n  \"products\": {},\n  \
          \"bulk_ingest\": {{\"total_ns\": {}, \"ratings_per_sec\": {:.0}}},\n  \
          \"full_scan\": {{\"total_ns\": {}, \"ratings_per_sec\": {:.0}}},\n  \
          \"append_latency_ns\": {{\"inserts\": {}, \"p50\": {:.0}, \"p90\": {:.0}, \
          \"p99\": {:.0}}}\n}}\n",
+        machine_json(),
         ratings.len(),
         PRODUCTS,
         ingest_ns,

@@ -1,5 +1,5 @@
 //! Microbenchmarks: per-component costs of the detectors, schemes,
-//! generator stages, and math kernels.
+//! generator stages, math kernels, and the parallel pool.
 //!
 //! Emits `BENCH_micro.json` (see `rrs_bench::harness`).
 
@@ -141,6 +141,19 @@ fn substrate_extras(h: &mut Harness) {
     });
 }
 
+/// The pool's per-call price: a served epoch on servebench's `epoch`
+/// workload fans 360 products out through one `par_map_owned` call.
+/// Each item is a boxed 816-byte block, moved as a pointer like a boxed
+/// product state, and comes back untouched, so what is timed is the
+/// spawns, the hand-off and the ordered merge, not the work.
+fn pool(h: &mut Harness) {
+    let mut items: Vec<Box<[u8; 816]>> = (0..360).map(|_| Box::new([0u8; 816])).collect();
+    h.bench("par_map_owned_360_boxed_identity", || {
+        items = rrs_core::par::par_map_owned(std::mem::take(&mut items), |_, item| item);
+        items.len()
+    });
+}
+
 fn main() {
     let mut h = Harness::new("micro");
     detectors(&mut h);
@@ -148,5 +161,6 @@ fn main() {
     attack_generation(&mut h);
     math_kernels(&mut h);
     substrate_extras(&mut h);
+    pool(&mut h);
     h.finish();
 }

@@ -5,6 +5,9 @@
 //! trajectory tracking across commits), and **bounded runtime** (a suite
 //! of a dozen benches finishes in seconds, not minutes).
 //!
+//! Each file also names its machine: `"cores"` (available parallelism)
+//! and `"threads"` (the `rrs_core::par` pool width the run used).
+//!
 //! Methodology: each bench body is first calibrated — run repeatedly until
 //! one batch takes at least [`TARGET_BATCH_NANOS`] — then timed for a
 //! fixed number of batches. The JSON records mean/median/min/max/std-dev
@@ -55,6 +58,18 @@ pub struct Harness {
     samples: usize,
     results: Vec<BenchResult>,
     stages: Vec<rrs_obs::trace::SpanAgg>,
+}
+
+/// The `"cores"` and `"threads"` lines every `BENCH_<suite>.json`
+/// carries: the machine's available parallelism and the `rrs_core::par`
+/// pool width the run used (`RRS_THREADS`, default `min(cores, 8)`).
+#[must_use]
+pub fn machine_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "  \"cores\": {cores},\n  \"threads\": {},\n",
+        rrs_core::par::thread_count()
+    )
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -196,6 +211,7 @@ impl Harness {
         out.push_str(&format!("  \"suite\": \"{}\",\n", self.suite));
         out.push_str(&format!("  \"samples_per_bench\": {},\n", self.samples));
         out.push_str("  \"unit\": \"ns_per_iter\",\n");
+        out.push_str(&machine_json());
         if !self.stages.is_empty() {
             out.push_str("  \"stage_breakdown\": [\n");
             for (i, s) in self.stages.iter().enumerate() {
@@ -259,6 +275,8 @@ mod tests {
         let json = h.to_json();
         assert!(json.contains("\"suite\": \"shape\""));
         assert!(json.contains("\"unit\": \"ns_per_iter\""));
+        assert!(json.contains("\n  \"cores\": "));
+        assert!(json.contains("\n  \"threads\": "));
         assert!(json.contains("\"name\": \"noop\""));
         assert!(json.ends_with("]\n}\n"));
     }

@@ -38,6 +38,16 @@
 //! `DetectionResult` equality epoch by epoch, and `scripts/verify.sh`
 //! byte-diffs whole report trees between the two modes.
 //!
+//! Each detector keeps its curve points in one buffer shared with the
+//! curves it hands out (`Arc<Vec<CurvePoint>>` inside
+//! [`Curve`]): the settled points, then the live tail of the last curve.
+//! An epoch cuts the buffer back to its settled points, appends the newly
+//! settled ones and the new tail, and returns the curve as another
+//! reference to the buffer, so no epoch copies settled history. The cut
+//! goes through [`Arc::make_mut`], which copies the buffer only while a
+//! caller still holds an earlier epoch's curve; a kept result therefore
+//! never changes, and a caller that drops its results pays no copy.
+//!
 //! Rater trust enters the MC segment judge and the Path-2 check as one
 //! per-rating column. The state keeps a dense index of every rater it
 //! has seen, a trust value per index slot, and each product's cache one
@@ -66,17 +76,13 @@ use crate::mc::{self, McConfig, McOutcome};
 use crate::me::{self, MeConfig, MeOutcome};
 use rrs_core::{DatasetView, ProductId, RaterId, RatingId, TimeWindow, TimelineView};
 use rrs_signal::curve::{Curve, CurvePoint};
-use rrs_signal::{ArAccumulator, Cusum, DecayedHistogram, Ewma, Welford, WindowedWelford};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 // Metric names, declared as constants per the `metric-name` lint rule.
-const METRIC_CUSUM_ALARMS: &str = "signal.online.cusum_alarms";
-const METRIC_EWMA_ALARMS: &str = "signal.online.ewma_alarms";
 const METRIC_ABSORBED_RATINGS: &str = "signal.online.absorbed_ratings";
 const METRIC_REBUILDS: &str = "signal.online.rebuilds";
 const METRIC_PRODUCTS: &str = "signal.online.products";
-const METRIC_MAX_WINDOW_VARIANCE: &str = "signal.online.max_window_variance";
-const METRIC_MIN_AR_ERROR: &str = "signal.online.min_ar_error";
 
 /// Rolling detector state carried across scoring epochs, one slot per
 /// product. Feed it to [`JointDetector::detect_all_online`] with a
@@ -84,7 +90,9 @@ const METRIC_MIN_AR_ERROR: &str = "signal.online.min_ar_error";
 /// correct (the first epoch is simply a full build).
 #[derive(Debug, Default)]
 pub struct OnlineState {
-    products: BTreeMap<ProductId, ProductState>,
+    /// Boxed, so an epoch moves each product's state in and out of the
+    /// map as a pointer.
+    products: BTreeMap<ProductId, Box<ProductState>>,
     raters: RaterIndex,
 }
 
@@ -215,11 +223,9 @@ impl OnlineState {
     /// push/sort operations the live path uses, which keeps the image
     /// minimal without costing a single bit of fidelity. The resolved
     /// trust values and any pending declaration are not stored either: a
-    /// restored state's first call resolves every rater afresh.
-    ///
-    /// Rolling telemetry is excluded on purpose: it is diagnostics that
-    /// never influences detection, and a restored process starts with
-    /// fresh observability sinks anyway.
+    /// restored state's first call resolves every rater afresh. Of each
+    /// detector's curve buffer only the settled points are stored, not
+    /// the live tail the last curve carried.
     #[must_use]
     pub fn snapshot(&self) -> OnlineSnapshot {
         let products = self
@@ -232,17 +238,17 @@ impl OnlineState {
                 start_bits: state.cache.start_bits,
                 end_bits: state.cache.end_days.to_bits(),
                 mc: CurveCursorSnapshot {
-                    settled: snapshot_points(&state.mc.settled),
+                    settled: snapshot_points(state.mc.settled.points()),
                     scan_from: state.mc.scan_from as u64,
                 },
                 harc: snapshot_arc_band(&state.harc),
                 larc: snapshot_arc_band(&state.larc),
                 hc: CurveCursorSnapshot {
-                    settled: snapshot_points(&state.hc.settled),
+                    settled: snapshot_points(state.hc.settled.points()),
                     scan_from: state.hc.next_start as u64,
                 },
                 me: CurveCursorSnapshot {
-                    settled: snapshot_points(&state.me.settled),
+                    settled: snapshot_points(state.me.settled.points()),
                     scan_from: state.me.next_start as u64,
                 },
             })
@@ -272,7 +278,7 @@ impl OnlineState {
             let state = ProductState {
                 cache,
                 mc: McState {
-                    settled: restore_points(&p.mc.settled),
+                    settled: SettledCurve::restore(&p.mc.settled),
                     scan_from: p.mc.scan_from as usize,
                 },
                 harc: restore_arc_band(&p.harc),
@@ -282,18 +288,17 @@ impl OnlineState {
                 // scratch sort, whose result is bit-identical to the
                 // slid one (same multiset, same `total_cmp` order).
                 hc: HcWindowState {
-                    settled: restore_points(&p.hc.settled),
+                    settled: SettledCurve::restore(&p.hc.settled),
                     next_start: p.hc.scan_from as usize,
                     sorted: Vec::new(),
                     prev_start: None,
                 },
                 me: WindowedState {
-                    settled: restore_points(&p.me.settled),
+                    settled: SettledCurve::restore(&p.me.settled),
                     next_start: p.me.scan_from as usize,
                 },
-                telemetry: None,
             };
-            products.insert(p.product, state);
+            products.insert(p.product, Box::new(state));
         }
         OnlineState {
             products,
@@ -379,24 +384,13 @@ fn snapshot_points(points: &[CurvePoint]) -> Vec<CurvePointSnapshot> {
         .collect()
 }
 
-fn restore_points(points: &[CurvePointSnapshot]) -> Vec<CurvePoint> {
-    points
-        .iter()
-        .map(|p| CurvePoint {
-            index: p.index as usize,
-            time: f64::from_bits(p.time_bits),
-            value: f64::from_bits(p.value_bits),
-        })
-        .collect()
-}
-
 fn snapshot_arc_band(band: &ArcBandState) -> ArcBandSnapshot {
     ArcBandSnapshot {
         counts: band.counts.clone(),
         absorbed: band.absorbed as u64,
         median_bits: band.median_bits,
         cursor: CurveCursorSnapshot {
-            settled: snapshot_points(&band.settled),
+            settled: snapshot_points(band.settled.points()),
             scan_from: band.scan_from as u64,
         },
     }
@@ -407,8 +401,53 @@ fn restore_arc_band(snapshot: &ArcBandSnapshot) -> ArcBandState {
         counts: snapshot.counts.clone(),
         absorbed: snapshot.absorbed as usize,
         median_bits: snapshot.median_bits,
-        settled: restore_points(&snapshot.cursor.settled),
+        settled: SettledCurve::restore(&snapshot.cursor.settled),
         scan_from: snapshot.cursor.scan_from as usize,
+    }
+}
+
+/// One detector's curve buffer, shared with the curves it hands out:
+/// the settled points, then the live tail of the last epoch's curve.
+#[derive(Debug, Default, Clone)]
+struct SettledCurve {
+    buf: Arc<Vec<CurvePoint>>,
+    /// Leading points of `buf` that no future arrival can change.
+    len: usize,
+}
+
+impl SettledCurve {
+    fn restore(points: &[CurvePointSnapshot]) -> Self {
+        let buf: Vec<CurvePoint> = points
+            .iter()
+            .map(|p| CurvePoint {
+                index: p.index as usize,
+                time: f64::from_bits(p.time_bits),
+                value: f64::from_bits(p.value_bits),
+            })
+            .collect();
+        SettledCurve {
+            len: buf.len(),
+            buf: Arc::new(buf),
+        }
+    }
+
+    /// The settled points.
+    fn points(&self) -> &[CurvePoint] {
+        &self.buf[..self.len]
+    }
+
+    /// The buffer cut back to its settled points, ready for this epoch's
+    /// appends. Copies only while an earlier curve still shares it, so
+    /// that curve keeps its points.
+    fn reopen(&mut self) -> &mut Vec<CurvePoint> {
+        let buf = Arc::make_mut(&mut self.buf);
+        buf.truncate(self.len);
+        buf
+    }
+
+    /// This epoch's curve: another reference to the buffer.
+    fn curve(&self) -> Curve {
+        Curve::shared(Arc::clone(&self.buf))
     }
 }
 
@@ -421,10 +460,6 @@ struct ProductState {
     larc: ArcBandState,
     hc: HcWindowState,
     me: WindowedState,
-    /// Rolling diagnostics, maintained only while the observability sink
-    /// is enabled. They feed counters/gauges and never influence
-    /// detection, so report trees stay identical across modes.
-    telemetry: Option<Telemetry>,
 }
 
 /// What [`StreamCache::absorb`] did with the epoch's entries.
@@ -571,7 +606,7 @@ impl StreamCache {
 /// Settled MC indicator points plus the first unsettled rating index.
 #[derive(Debug, Default, Clone)]
 struct McState {
-    settled: Vec<CurvePoint>,
+    settled: SettledCurve,
     scan_from: usize,
 }
 
@@ -588,7 +623,7 @@ struct ArcBandState {
     /// The median re-bands *history* when it moves: the ratings between
     /// the old and the new threshold flip band (see [`reband`]).
     median_bits: Option<u64>,
-    settled: Vec<CurvePoint>,
+    settled: SettledCurve,
     scan_from: usize,
 }
 
@@ -596,7 +631,7 @@ struct ArcBandState {
 /// next window start to evaluate.
 #[derive(Debug, Default, Clone)]
 struct WindowedState {
-    settled: Vec<CurvePoint>,
+    settled: SettledCurve,
     next_start: usize,
 }
 
@@ -605,56 +640,12 @@ struct WindowedState {
 /// insert/remove instead of an O(w log w) sort.
 #[derive(Debug, Default, Clone)]
 struct HcWindowState {
-    settled: Vec<CurvePoint>,
+    settled: SettledCurve,
     next_start: usize,
     /// `values[prev_start..prev_start + w]` in `total_cmp` order.
     sorted: Vec<f64>,
     /// Start index of the window `sorted` currently mirrors.
     prev_start: Option<usize>,
-}
-
-/// Rolling per-product instruments exercising the incremental statistics
-/// of `rrs-signal`: full-stream and windowed Welford moments, a
-/// count-decayed value histogram, incremental AR residual state, and the
-/// CUSUM/EWMA change charts. Pure diagnostics — alarms surface as
-/// counters, never as detection input.
-#[derive(Debug, Clone)]
-struct Telemetry {
-    welford: Welford,
-    windowed: WindowedWelford,
-    histogram: DecayedHistogram,
-    ar: ArAccumulator,
-    cusum: Cusum,
-    ewma: Ewma,
-}
-
-impl Telemetry {
-    fn new() -> Self {
-        // Centered on the rating scale's midpoint with generous bands:
-        // the charts are meant to flag gross stream shifts in traces,
-        // not to re-implement the detectors.
-        Telemetry {
-            welford: Welford::new(),
-            windowed: WindowedWelford::new(64),
-            histogram: DecayedHistogram::new(0.0, 5.0, 10, 0.99),
-            ar: ArAccumulator::new(4),
-            cusum: Cusum::new(2.5, 0.25, 8.0),
-            ewma: Ewma::new(2.5, 1.0, 0.2, 4.0),
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        self.welford.push(v);
-        self.windowed.push(v);
-        self.histogram.push(v);
-        self.ar.push(v);
-        if self.cusum.push(v).is_some() {
-            rrs_obs::metrics::counter_add(METRIC_CUSUM_ALARMS, 1);
-        }
-        if self.ewma.push(v).is_some() {
-            rrs_obs::metrics::counter_add(METRIC_EWMA_ALARMS, 1);
-        }
-    }
 }
 
 /// Incremental MC: settle every point whose right window closed at or
@@ -681,11 +672,17 @@ fn mc_online(
     // The window bounds `lo`/`hi` are monotone in `k` (times are sorted,
     // `t_k` is non-decreasing), so two pointers advanced linearly land on
     // exactly the `partition_point` indices the batch path computes —
-    // integer-for-integer, hence bit-identical points — at O(n) total
-    // comparisons per epoch instead of two binary searches per point.
+    // integer-for-integer, hence bit-identical points. They start at the
+    // batch path's own bounds for the first unsettled rating, so an epoch
+    // costs two binary searches plus comparisons linear in the ratings
+    // it scans, not in the prefix.
     let h = config.half_window_days;
-    let mut lo = 0usize;
-    let mut hi = 0usize;
+    let (mut lo, mut hi) = cache.times.get(state.scan_from).map_or((n, n), |&t| {
+        (
+            cache.times.partition_point(|&x| x < t - h),
+            cache.times.partition_point(|&x| x < t + h),
+        )
+    });
     let point_at = |k: usize, lo: &mut usize, hi: &mut usize| {
         let t = cache.times[k];
         while *lo < n && cache.times[*lo] < t - h {
@@ -696,19 +693,21 @@ fn mc_online(
         }
         mc::indicator_point_with_bounds(&cache.times, &cache.prefix, k, *lo, *hi, config)
     };
+    let points = state.settled.reopen();
     for k in state.scan_from..settle_until {
         if let Some(p) = point_at(k, &mut lo, &mut hi) {
-            state.settled.push(p);
+            points.push(p);
         }
     }
-    state.scan_from = settle_until;
-    let mut points = state.settled.clone();
+    let settled = points.len();
     for k in settle_until..n {
         if let Some(p) = point_at(k, &mut lo, &mut hi) {
             points.push(p);
         }
     }
-    let curve = Curve::new(points);
+    state.settled.len = settled;
+    state.scan_from = settle_until;
+    let curve = state.settled.curve();
     let sigma2 = rrs_signal::stats::variance(&cache.values)
         .unwrap_or(0.0)
         .max(1e-6);
@@ -760,7 +759,7 @@ fn arc_band_online(
     }
     if rebuild {
         band.counts = vec![0u32; days];
-        band.settled.clear();
+        band.settled = SettledCurve::default();
         band.scan_from = 0;
         band.absorbed = 0;
     }
@@ -800,21 +799,23 @@ fn arc_band_online(
     // frozen, because future arrivals carry times at or beyond the
     // horizon end and therefore land in bins at or beyond it.
     let complete = (horizon.end().as_days() - horizon.start().as_days()).floor() as usize;
+    let points = band.settled.reopen();
     let mut k = band.scan_from.max(config.min_half_days);
     while k + config.half_window_days.min(k) <= complete && k + config.min_half_days <= n {
         if let Some(p) = arc::curve_point_from_prefix(&prefix, day0, k, config) {
-            band.settled.push(p);
+            points.push(p);
         }
         k += 1;
     }
-    band.scan_from = k;
-    let mut points = band.settled.clone();
+    let settled = points.len();
     for k in k..=(n - config.min_half_days) {
         if let Some(p) = arc::curve_point_from_prefix(&prefix, day0, k, config) {
             points.push(p);
         }
     }
-    let curve = Curve::new(points);
+    band.settled.len = settled;
+    band.scan_from = k;
+    let curve = band.settled.curve();
     let peaks = curve.find_peaks(config.glrt_threshold, config.peak_separation);
     let u_shapes = curve.u_shapes_between(&peaks, config.valley_ratio);
     drop(signal_span);
@@ -910,8 +911,10 @@ fn reband(
         band.scan_from = band
             .scan_from
             .min(first_point_reading(day, config.half_window_days));
-        let kept = band.settled.partition_point(|p| p.index < band.scan_from);
-        band.settled.truncate(kept);
+        band.settled.len = band
+            .settled
+            .points()
+            .partition_point(|p| p.index < band.scan_from);
     }
     true
 }
@@ -940,10 +943,18 @@ fn hc_online(cache: &StreamCache, state: &mut HcWindowState, config: &HcConfig) 
     }
     let signal_span = rrs_obs::trace::span("signal.hc");
     let step = config.step.max(1);
+    let points = state.settled.reopen();
     while state.next_start + w <= n {
         let s = state.next_start;
-        slide_sorted_window(state, &cache.values, s, w, step);
-        state.settled.push(hc::window_point_presorted(
+        slide_sorted_window(
+            &mut state.sorted,
+            state.prev_start,
+            &cache.values,
+            s,
+            w,
+            step,
+        );
+        points.push(hc::window_point_presorted(
             &state.sorted,
             &cache.times,
             s,
@@ -952,46 +963,53 @@ fn hc_online(cache: &StreamCache, state: &mut HcWindowState, config: &HcConfig) 
         state.prev_start = Some(s);
         state.next_start += step;
     }
-    let curve = Curve::new(state.settled.clone());
+    state.settled.len = points.len();
+    let curve = state.settled.curve();
     drop(signal_span);
     let _detect_span = rrs_obs::trace::span("detect.hc");
     let suspicious = hc::suspicious_runs(&curve, &cache.times, config);
     HcOutcome { curve, suspicious }
 }
 
-/// Brings `state.sorted` to the multiset of `values[s..s + w]` in
-/// `total_cmp` order: slides from the previous window when it overlaps
+/// Brings `sorted` to the multiset of `values[s..s + w]` in `total_cmp`
+/// order: slides from the previous window (`prev_start`) when it overlaps
 /// the new one, rebuilds from scratch otherwise (first window, a step
 /// at least as wide as the window, or a defensive miss on removal —
 /// `total_cmp` equality is bit equality, so every element leaving the
 /// window is found at its `partition_point` unless the invariant was
 /// broken).
-fn slide_sorted_window(state: &mut HcWindowState, values: &[f64], s: usize, w: usize, step: usize) {
-    let slid =
-        step < w && state.sorted.len() == w && s >= step && state.prev_start == Some(s - step) && {
-            let prev = s - step;
-            let mut ok = true;
-            for &v in &values[prev..s] {
-                let idx = state.sorted.partition_point(|x| x.total_cmp(&v).is_lt());
-                if idx < state.sorted.len() && state.sorted[idx].to_bits() == v.to_bits() {
-                    state.sorted.remove(idx);
-                } else {
-                    ok = false;
-                    break;
-                }
+fn slide_sorted_window(
+    sorted: &mut Vec<f64>,
+    prev_start: Option<usize>,
+    values: &[f64],
+    s: usize,
+    w: usize,
+    step: usize,
+) {
+    let slid = step < w && sorted.len() == w && s >= step && prev_start == Some(s - step) && {
+        let prev = s - step;
+        let mut ok = true;
+        for &v in &values[prev..s] {
+            let idx = sorted.partition_point(|x| x.total_cmp(&v).is_lt());
+            if idx < sorted.len() && sorted[idx].to_bits() == v.to_bits() {
+                sorted.remove(idx);
+            } else {
+                ok = false;
+                break;
             }
-            if ok {
-                for &v in &values[prev + w..s + w] {
-                    let idx = state.sorted.partition_point(|x| x.total_cmp(&v).is_lt());
-                    state.sorted.insert(idx, v);
-                }
+        }
+        if ok {
+            for &v in &values[prev + w..s + w] {
+                let idx = sorted.partition_point(|x| x.total_cmp(&v).is_lt());
+                sorted.insert(idx, v);
             }
-            ok
-        };
+        }
+        ok
+    };
     if !slid {
-        state.sorted.clear();
-        state.sorted.extend_from_slice(&values[s..s + w]);
-        state.sorted.sort_by(|a, b| a.total_cmp(b));
+        sorted.clear();
+        sorted.extend_from_slice(&values[s..s + w]);
+        sorted.sort_by(|a, b| a.total_cmp(b));
     }
 }
 
@@ -1004,13 +1022,15 @@ fn me_online(cache: &StreamCache, state: &mut WindowedState, config: &MeConfig) 
     }
     let signal_span = rrs_obs::trace::span("signal.me");
     let step = config.step.max(1);
+    let points = state.settled.reopen();
     while state.next_start + w <= n {
         if let Some(p) = me::window_point(&cache.values, &cache.times, state.next_start, config) {
-            state.settled.push(p);
+            points.push(p);
         }
         state.next_start += step;
     }
-    let curve = Curve::new(state.settled.clone());
+    state.settled.len = points.len();
+    let curve = state.settled.curve();
     drop(signal_span);
     let _detect_span = rrs_obs::trace::span("detect.me");
     let suspicious = me::suspicious_runs(&curve, &cache.times, config);
@@ -1042,14 +1062,6 @@ fn detect_product_online(
     let stream_median = state.cache.median().unwrap_or(2.5);
     drop(online_span);
     if rrs_obs::enabled() {
-        // Rolling instruments are diagnostics riding along with the
-        // stream, not detection work — billed to their own stage so the
-        // `signal` totals reflect what detection itself costs.
-        let _telemetry_span = rrs_obs::trace::span("obs.telemetry");
-        let telemetry = state.telemetry.get_or_insert_with(Telemetry::new);
-        for &v in &state.cache.values[new_from..] {
-            telemetry.observe(v);
-        }
         rrs_obs::metrics::counter_add(
             METRIC_ABSORBED_RATINGS,
             (state.cache.values.len() - new_from) as u64,
@@ -1155,9 +1167,15 @@ impl JointDetector {
     ///   rater's trust changed in between; a rater whose trust did change
     ///   undeclared is detected with a stale value.
     ///
-    /// Products are independent; state slots are moved out of the map,
-    /// carried through [`rrs_core::par::par_map_owned`] (product order,
-    /// so the output is identical at any thread count), and re-inserted.
+    /// Products are independent; their boxed state slots are moved out of
+    /// the map, carried through [`rrs_core::par::par_map_owned`] (product
+    /// order, so the output is identical at any thread count), and
+    /// re-inserted.
+    ///
+    /// Each returned curve shares its points with the state (see the
+    /// module docs). Dropping the results before the next call lets that
+    /// call extend the buffers in place; keeping them costs one copy of
+    /// each kept buffer at the next call and changes nothing in them.
     pub fn detect_all_online<'a, D, F>(
         &self,
         dataset: D,
@@ -1173,7 +1191,7 @@ impl JointDetector {
         let seen_before = state.raters.len();
         // Serially, in product order: extend each product's slot column
         // over its new arrivals (the rater index is shared).
-        let tasks: Vec<(ProductId, TimelineView<'a>, ProductState)> = view
+        let tasks: Vec<(ProductId, TimelineView<'a>, Box<ProductState>)> = view
             .products()
             .iter()
             .map(|&(pid, timeline)| {
@@ -1216,37 +1234,10 @@ impl JointDetector {
             per_product.push((pid, result));
         }
         let all = union_of_marks(&per_product);
-        if rrs_obs::enabled() {
-            epoch_gauges(state);
-        }
+        // Serial, after the parallel map, so the value is thread-count
+        // independent.
+        rrs_obs::metrics::gauge_set(METRIC_PRODUCTS, state.products.len() as f64);
         (all, per_product)
-    }
-}
-
-/// Epoch-level gauges over the rolling telemetry, emitted serially in
-/// product order after the parallel map (so values are thread-count
-/// independent).
-fn epoch_gauges(state: &OnlineState) {
-    rrs_obs::metrics::gauge_set(METRIC_PRODUCTS, state.products.len() as f64);
-    let mut max_window_variance: Option<f64> = None;
-    let mut min_ar_error: Option<f64> = None;
-    for product_state in state.products.values() {
-        let Some(t) = &product_state.telemetry else {
-            continue;
-        };
-        if let Some(v) = t.windowed.variance() {
-            max_window_variance = Some(max_window_variance.map_or(v, |m| m.max(v)));
-        }
-        if let Ok(model) = t.ar.fit() {
-            let e = model.normalized_error();
-            min_ar_error = Some(min_ar_error.map_or(e, |m| m.min(e)));
-        }
-    }
-    if let Some(v) = max_window_variance {
-        rrs_obs::metrics::gauge_set(METRIC_MAX_WINDOW_VARIANCE, v);
-    }
-    if let Some(e) = min_ar_error {
-        rrs_obs::metrics::gauge_set(METRIC_MIN_AR_ERROR, e);
     }
 }
 
@@ -1583,6 +1574,87 @@ mod tests {
             // Non-vacuous: the medians moved across ratings already
             // counted, so the flip path had work to do.
             prop_assert!(flips > 0, "no rating ever changed band");
+        }
+    }
+
+    /// Every curve buffer of one product's state.
+    fn curve_buffers(state: &ProductState) -> [&Arc<Vec<CurvePoint>>; 5] {
+        [
+            &state.mc.settled.buf,
+            &state.harc.settled.buf,
+            &state.larc.settled.buf,
+            &state.hc.settled.buf,
+            &state.me.settled.buf,
+        ]
+    }
+
+    props! {
+        #![cases(12)]
+        #[test]
+        fn kept_and_dropped_results_agree_with_batch(
+            seed in 0u64..64,
+            burst_days in 0usize..10,
+            burst_value in 0.0f64..5.0,
+            restore_at in 4u32..28,
+        ) {
+            // One caller keeps every result, so each epoch's buffers are
+            // still shared when the next epoch appends; the other drops
+            // each result at once. The medians move (so ARC re-bands cut
+            // settled points) and both states are restored mid-run.
+            let mut d = continuous_dataset(seed);
+            if burst_days > 0 {
+                add_burst(&mut d, 40.0, burst_days, 5, burst_value);
+            }
+            let detector = JointDetector::default();
+            let mut keeper = OnlineState::new();
+            let mut dropper = OnlineState::new();
+            let mut kept = Vec::new();
+            let mut shared_epochs = 0;
+            let mut flips = 0;
+            let mut previous: Option<DatasetView<'_>> = None;
+            for step in 3..=30u32 {
+                let end = f64::from(step) * 3.0;
+                let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
+                let prefix = d.prefix_view(window);
+                if step == restore_at {
+                    keeper = OnlineState::restore(&keeper.snapshot());
+                    dropper = OnlineState::restore(&dropper.snapshot());
+                }
+                let batch = detector.detect_all(&prefix, window, trust_fn);
+                let held = detector.detect_all_online(&prefix, window, trust_fn, &mut keeper);
+                let dropped = detector.detect_all_online(&prefix, window, trust_fn, &mut dropper);
+                prop_assert!(held == batch, "kept result diverged at end={end}");
+                prop_assert!(dropped == batch, "dropped result diverged at end={end}");
+                drop(dropped);
+                // With its results gone, the dropping caller's state owns
+                // every buffer, so the next epoch appends in place.
+                prop_assert!(dropper
+                    .products
+                    .values()
+                    .all(|p| curve_buffers(p).iter().all(|b| Arc::strong_count(b) == 1)));
+                shared_epochs += usize::from(
+                    keeper
+                        .products
+                        .values()
+                        .any(|p| curve_buffers(p).iter().any(|b| Arc::strong_count(b) > 1)),
+                );
+                prop_assert!(
+                    keeper.snapshot() == dropper.snapshot(),
+                    "snapshots diverged at end={end}"
+                );
+                if let Some(previous) = &previous {
+                    flips += band_changes(previous, &prefix);
+                }
+                previous = Some(prefix);
+                kept.push((end, batch, held));
+            }
+            prop_assert!(shared_epochs > 0, "no kept result shared a buffer");
+            prop_assert!(flips > 0, "no rating ever changed band");
+            // Later epochs appended to buffers these results shared; the
+            // copy-on-write left every one as its own epoch produced it.
+            for (end, batch, held) in &kept {
+                prop_assert!(held == batch, "kept result of end={end} changed later");
+            }
         }
     }
 

@@ -396,6 +396,14 @@ impl Engine {
         write_checkpoint(&self.dir, &image)
     }
 
+    /// Sets the trust-mass gauges from the current trust records (see
+    /// `TrustManager::publish_gauges`). An epoch does not set them, so a
+    /// server calls this when it renders its metrics; the values are the
+    /// same after a restart as in a process that never stopped.
+    pub fn publish_trust_gauges(&self) {
+        self.trust.publish_gauges();
+    }
+
     /// Trust value of one rater (0.5 if never observed).
     #[must_use]
     pub fn trust_of(&self, rater: RaterId) -> f64 {

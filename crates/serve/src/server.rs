@@ -153,6 +153,9 @@ impl Server {
                 self.engine.wal_events(),
             )),
             (Method::Get, ["metrics"]) => {
+                // The trust gauges cost O(raters), so a scrape pays for
+                // them once instead of every epoch.
+                self.engine.publish_trust_gauges();
                 Response::text(rrs_obs::metrics::snapshot().to_prometheus())
             }
             (Method::Post, ["ratings"]) => self.submit(&request.body),

@@ -45,18 +45,17 @@ fn exchange(server: &mut Server, request: &str) -> String {
     response
 }
 
-#[test]
-fn a_served_run_records_metrics_but_no_spans_events_or_decisions() {
-    let _guard = rrs_obs::trace::tests_lock();
-    rrs_obs::reset();
-    rrs_obs::set_collection(rrs_serve::COLLECTION);
-
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve-telemetry");
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     if dir.exists() {
         std::fs::remove_dir_all(&dir).expect("clean scratch dir");
     }
-    let engine = Engine::open(&dir, EngineConfig::paper(10.0)).expect("open");
-    let mut server = Server::new(engine);
+    dir
+}
+
+/// Six 10-day epochs of 40 ratings over three products, with a low burst
+/// on product 0 in the fourth; each epoch is followed by a score read.
+fn drive(server: &mut Server) {
     for epoch in 0..6u32 {
         let mut body = String::new();
         for i in 0..40u32 {
@@ -72,18 +71,34 @@ fn a_served_run_records_metrics_but_no_spans_events_or_decisions() {
             ));
         }
         exchange(
-            &mut server,
+            server,
             &format!(
                 "POST /ratings HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
             ),
         );
-        exchange(
-            &mut server,
-            "POST /epochs HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
-        );
-        exchange(&mut server, "GET /products/0/score HTTP/1.1\r\n\r\n");
+        exchange(server, "POST /epochs HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        exchange(server, "GET /products/0/score HTTP/1.1\r\n\r\n");
     }
+}
+
+/// The exposition line of one series, if present.
+fn series_line<'a>(metrics: &'a str, name: &str) -> Option<&'a str> {
+    metrics
+        .lines()
+        .find(|line| line.strip_prefix(name).is_some_and(|v| v.starts_with(' ')))
+}
+
+#[test]
+fn a_served_run_records_metrics_but_no_spans_events_or_decisions() {
+    let _guard = rrs_obs::trace::tests_lock();
+    rrs_obs::reset();
+    rrs_obs::set_collection(rrs_serve::COLLECTION);
+
+    let dir = scratch("serve-telemetry");
+    let engine = Engine::open(&dir, EngineConfig::paper(10.0)).expect("open");
+    let mut server = Server::new(engine);
+    drive(&mut server);
     let metrics = exchange(&mut server, "GET /metrics HTTP/1.1\r\n\r\n");
 
     let spans = rrs_obs::trace::drain_spans();
@@ -101,4 +116,42 @@ fn a_served_run_records_metrics_but_no_spans_events_or_decisions() {
     assert_eq!(dumps, 0, "the flight recorder dumped");
     assert!(metrics.contains("\ntrust_epochs 6\n"), "got {metrics}");
     assert!(metrics.contains("# TYPE detect_marked_per_product summary\n"));
+}
+
+#[test]
+fn a_restarted_server_reports_the_trust_gauges_before_its_next_epoch() {
+    let _guard = rrs_obs::trace::tests_lock();
+    rrs_obs::reset();
+    rrs_obs::set_collection(rrs_serve::COLLECTION);
+
+    let dir = scratch("serve-telemetry-restart");
+    let config = EngineConfig::paper(10.0);
+    let mut server = Server::new(Engine::open(&dir, config).expect("open"));
+    drive(&mut server);
+    exchange(
+        &mut server,
+        "POST /checkpoint HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    );
+    let uninterrupted = exchange(&mut server, "GET /metrics HTTP/1.1\r\n\r\n");
+    drop(server);
+
+    // A new process: empty registry, state from the checkpoint, and no
+    // epoch replayed, because none followed the checkpoint.
+    rrs_obs::reset();
+    let mut restarted = Server::new(Engine::open(&dir, config).expect("reopen"));
+    assert_eq!(restarted.engine().epochs(), 6);
+    let metrics = exchange(&mut restarted, "GET /metrics HTTP/1.1\r\n\r\n");
+    rrs_obs::reset();
+    rrs_obs::disable();
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    for gauge in ["trust_mass_total", "trust_raters_tracked"] {
+        let before = series_line(&uninterrupted, gauge);
+        assert!(before.is_some(), "{gauge} missing before the restart");
+        assert_eq!(
+            series_line(&metrics, gauge),
+            before,
+            "{gauge} after the restart"
+        );
+    }
 }

@@ -8,6 +8,7 @@
 //! for per-segment judgment.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One sample of an indicator curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,9 +57,13 @@ impl UShape {
 }
 
 /// An indicator curve: a sequence of samples ordered by stream index.
+///
+/// The samples sit behind an [`Arc`], so cloning a curve shares them.
+/// The online detectors rely on this: they keep one buffer per detector
+/// and hand each epoch's curve out as another reference to it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Curve {
-    points: Vec<CurvePoint>,
+    points: Arc<Vec<CurvePoint>>,
 }
 
 impl Curve {
@@ -70,6 +75,20 @@ impl Curve {
     /// curve with duplicate or shuffled samples indicates a detector bug.
     #[must_use]
     pub fn new(points: Vec<CurvePoint>) -> Self {
+        Curve::shared(Arc::new(points))
+    }
+
+    /// Creates a curve over a shared point buffer without copying it.
+    ///
+    /// Nothing can change the points while the curve holds its
+    /// reference: an owner that appends to the buffer later goes through
+    /// [`Arc::make_mut`], which copies while this curve still shares it.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same condition as [`Curve::new`].
+    #[must_use]
+    pub fn shared(points: Arc<Vec<CurvePoint>>) -> Self {
         for pair in points.windows(2) {
             assert!(
                 pair[0].index < pair[1].index,
@@ -122,6 +141,14 @@ impl Curve {
         let mut candidates: Vec<Peak> = Vec::new();
         let mut i = 0;
         while i < n {
+            // A sample below the bar cannot be a candidate, and neither
+            // can the rest of its plateau (equal values), so step past it
+            // without the plateau and neighbour tests. NaN on either side
+            // compares false and takes the full test.
+            if v(i) < min_height {
+                i += 1;
+                continue;
+            }
             // Extend over a plateau.
             let mut j = i;
             while j + 1 < n && v(j + 1) == v(i) {
@@ -202,6 +229,126 @@ impl Curve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_core::rng::{RrsRng, Xoshiro256pp};
+    use rrs_core::{prop_assert_eq, props};
+
+    /// The peak scan before it stepped past samples below the bar: every
+    /// plateau start takes the plateau and neighbour tests. Kept as the
+    /// oracle for [`Curve::find_peaks`].
+    fn find_peaks_reference(curve: &Curve, min_height: f64, min_separation: usize) -> Vec<Peak> {
+        let points = curve.points();
+        let n = points.len();
+        let v = |i: usize| points[i].value;
+        let mut candidates: Vec<Peak> = Vec::new();
+        let mut i = 0;
+        while i < n {
+            let mut j = i;
+            while j + 1 < n && v(j + 1) == v(i) {
+                j += 1;
+            }
+            let left_ok = i == 0 || v(i - 1) < v(i);
+            let right_ok = j + 1 >= n || v(j + 1) < v(i);
+            if left_ok && right_ok && v(i) >= min_height {
+                candidates.push(Peak {
+                    position: i,
+                    point: points[i],
+                });
+            }
+            i = j + 1;
+        }
+        candidates.sort_by(|a, b| b.point.value.total_cmp(&a.point.value));
+        let mut kept: Vec<Peak> = Vec::new();
+        for c in candidates {
+            if kept
+                .iter()
+                .all(|k| k.position.abs_diff(c.position) >= min_separation)
+            {
+                kept.push(c);
+            }
+        }
+        kept.sort_by_key(|p| p.position);
+        kept
+    }
+
+    /// Peaks as bit patterns, so NaN-free equality is not assumed.
+    fn peak_bits(peaks: &[Peak]) -> Vec<(usize, usize, u64)> {
+        peaks
+            .iter()
+            .map(|p| (p.position, p.point.index, p.point.value.to_bits()))
+            .collect()
+    }
+
+    fn u_shape_bits(shapes: &[UShape]) -> Vec<(usize, usize, u64)> {
+        shapes
+            .iter()
+            .map(|u| (u.left.position, u.right.position, u.valley.to_bits()))
+            .collect()
+    }
+
+    props! {
+        #![cases(512)]
+        #[test]
+        fn find_peaks_equals_the_full_scan(
+            seed in 0u64..1_000_000,
+            len in 0usize..48,
+            threshold_pick in 0usize..9,
+            min_separation in 1usize..5,
+            valley_ratio in 0.0f64..1.2,
+        ) {
+            // A small alphabet makes plateaus and equal neighbours common;
+            // NaN, ±0 and ±inf ride along.
+            const ALPHABET: [f64; 10] = [
+                0.0, -0.0, 1.0, 1.0, 2.0, 3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5,
+            ];
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut index = 0usize;
+            let points: Vec<CurvePoint> = (0..len)
+                .map(|_| {
+                    index += 1 + rng.gen_range(0..3usize);
+                    let value = if rng.gen_range(0..4u32) == 0 {
+                        rng.gen_range(-1.0..4.0)
+                    } else {
+                        ALPHABET[rng.gen_range(0..ALPHABET.len())]
+                    };
+                    CurvePoint {
+                        index,
+                        time: index as f64,
+                        value,
+                    }
+                })
+                .collect();
+            let curve = Curve::new(points);
+            let min_height = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                1.0,
+                1.5,
+                2.0,
+                rng.gen_range(-1.0..4.0),
+            ][threshold_pick];
+            let peaks = curve.find_peaks(min_height, min_separation);
+            let reference = find_peaks_reference(&curve, min_height, min_separation);
+            prop_assert_eq!(peak_bits(&peaks), peak_bits(&reference));
+            prop_assert_eq!(
+                u_shape_bits(&curve.u_shapes_between(&peaks, valley_ratio)),
+                u_shape_bits(&curve.u_shapes_between(&reference, valley_ratio))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn shared_unsorted_points_panic() {
+        let p = CurvePoint {
+            index: 3,
+            time: 0.0,
+            value: 0.0,
+        };
+        let _ = Curve::shared(Arc::new(vec![p, p]));
+    }
 
     fn curve_from(values: &[f64]) -> Curve {
         Curve::new(

@@ -128,21 +128,29 @@ impl TrustManager {
         }
         rrs_obs::metrics::counter_add(METRIC_EPOCHS, 1);
         rrs_obs::metrics::counter_add(METRIC_SUSPICIOUS_RATINGS, total_suspicious as u64);
-        if rrs_obs::enabled() {
-            // Trust-mass health gauges. `update_epoch` runs serially in
-            // the scheme's epoch loop and the records map is ordered, so
-            // this f64 accumulation is deterministic across thread
-            // counts.
-            let mass: f64 = self.records.values().map(BetaTrust::trust).sum();
-            rrs_obs::metrics::gauge_set(METRIC_MASS_TOTAL, mass);
-            rrs_obs::metrics::gauge_set(METRIC_RATERS_TRACKED, self.records.len() as f64);
-        }
         TrustUpdate {
             touched,
             ratings: total,
             suspicious: total_suspicious,
             deltas,
         }
+    }
+
+    /// Sets the trust-mass health gauges, `trust.mass_total` (the sum of
+    /// every record's trust) and `trust.raters_tracked`, from the current
+    /// records. O(raters), so it is the caller's choice when to pay it:
+    /// `PScheme::evaluate` calls it after every epoch's update, and a
+    /// server when its metrics are scraped.
+    ///
+    /// The records map is ordered, so the f64 sum is deterministic; call
+    /// it from a serial point to keep the gauges thread-count invariant.
+    pub fn publish_gauges(&self) {
+        if !rrs_obs::enabled() {
+            return;
+        }
+        let mass: f64 = self.records.values().map(BetaTrust::trust).sum();
+        rrs_obs::metrics::gauge_set(METRIC_MASS_TOTAL, mass);
+        rrs_obs::metrics::gauge_set(METRIC_RATERS_TRACKED, self.records.len() as f64);
     }
 
     /// Returns the trust value of a rater (0.5 if never observed).
