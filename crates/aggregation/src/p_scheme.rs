@@ -28,8 +28,6 @@ use std::collections::{BTreeMap, BTreeSet};
 // Metric names, declared as constants per the `metric-name` lint rule.
 const METRIC_SUSPICIOUS_SET: &str = "scheme.suspicious_set_size";
 const METRIC_EPOCH_SUSPICIOUS: &str = "scheme.epoch_suspicious";
-const METRIC_WATCHDOG_CHECKS: &str = "scheme.watchdog_checks";
-const METRIC_WATCHDOG_DIVERGENCES: &str = "scheme.watchdog_divergences";
 
 /// Configuration of the P-scheme pipeline. The default is
 /// [`PSchemeConfig::paper`].
@@ -45,21 +43,6 @@ pub struct PSchemeConfig {
     /// values let a reformed rater recover faster at the cost of longer
     /// attacker memory).
     pub trust_discount: Option<f64>,
-    /// Whether the detection stage runs incrementally
-    /// ([`JointDetector::detect_all_online`], carrying rolling state
-    /// across epochs) or re-derives every curve from the full prefix
-    /// each epoch ([`JointDetector::detect_all`]). The two produce
-    /// identical output; only the per-epoch cost differs. `None` (the
-    /// default) reads the `RRS_ONLINE` environment variable: online
-    /// unless it is set to `0`, `false`, or `off`.
-    pub online_detection: Option<bool>,
-    /// Online-vs-batch divergence watchdog: every Nth epoch, when the
-    /// online path ran and observability is enabled, the batch oracle is
-    /// re-run on the same prefix and the suspicion sets compared,
-    /// feeding the `scheme.watchdog_*` counters. `Some(0)` disables it;
-    /// `None` (the default) reads the `RRS_WATCHDOG` environment
-    /// variable (an epoch interval, unset or 0 = off).
-    pub watchdog_every: Option<usize>,
 }
 
 impl PSchemeConfig {
@@ -70,8 +53,6 @@ impl PSchemeConfig {
             detectors: DetectorConfig::paper(),
             filter_trust_threshold: 0.5,
             trust_discount: None,
-            online_detection: None,
-            watchdog_every: None,
         }
     }
 }
@@ -80,27 +61,6 @@ impl Default for PSchemeConfig {
     fn default() -> Self {
         PSchemeConfig::paper()
     }
-}
-
-/// Resolves the `RRS_ONLINE` environment switch: online detection unless
-/// explicitly turned off (mirrors how `RRS_THREADS` gates parallelism —
-/// the fast path is the default, the slow one stays reachable for
-/// byte-for-byte cross-checks in `scripts/verify.sh`).
-fn online_default() -> bool {
-    !matches!(
-        std::env::var("RRS_ONLINE").as_deref(),
-        Ok("0" | "false" | "off")
-    )
-}
-
-/// Resolves the `RRS_WATCHDOG` environment switch: an epoch interval for
-/// the online-vs-batch divergence watchdog (unset, unparsable, or 0 =
-/// off).
-fn watchdog_default() -> usize {
-    std::env::var("RRS_WATCHDOG")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// The signal-based reliable rating-aggregation system.
@@ -138,14 +98,12 @@ impl AggregationScheme for PScheme {
 
     fn evaluate(&self, dataset: &RatingDataset, ctx: &EvalContext) -> SchemeOutcome {
         let detector = JointDetector::new(self.config.detectors);
-        let online = self.config.online_detection.unwrap_or_else(online_default);
-        let watchdog_every = self.config.watchdog_every.unwrap_or_else(watchdog_default);
         let mut online_state = OnlineState::new();
         let mut trust = TrustManager::new();
         let mut out = SchemeOutcome::new();
         let mut scores: BTreeMap<rrs_core::ProductId, Vec<Option<f64>>> = BTreeMap::new();
 
-        for (epoch_idx, period) in ctx.periods().into_iter().enumerate() {
+        for period in ctx.periods() {
             // The epoch span is the root of this epoch's span tree: the
             // detect/trust/aggregate spans below open while it is live,
             // so (in serial execution) they record it as their parent
@@ -160,49 +118,20 @@ impl AggregationScheme for PScheme {
                 .expect("period lies inside the horizon");
             let prefix = dataset.prefix_view(prefix_window);
 
-            // 1. Detect with the previous epoch's trust. The online path
-            // carries rolling per-product state across epochs so only the
-            // ratings that arrived this period cost signal work; its
-            // output is identical to the batch path (oracle-tested in
-            // rrs-detectors and below).
-            // Detection reads the previous epoch's trust straight from the
-            // manager: nothing updates it until detection has returned.
-            let trust_fn = |r: RaterId| trust.trust_of(r);
-            let (marks, per_product) = if online {
-                detector.detect_all_online(&prefix, prefix_window, trust_fn, &mut online_state)
-            } else {
-                detector.detect_all(&prefix, prefix_window, trust_fn)
-            };
+            // 1. Detect with the previous epoch's trust. Detection carries
+            // rolling per-product state across epochs, so only the ratings
+            // that arrived this period cost signal work; its output is
+            // identical to batch `detect_all` (oracle-tested in
+            // rrs-detectors and below). It reads the previous epoch's
+            // trust straight from the manager: nothing updates it until
+            // detection has returned.
+            let (marks, per_product) = detector.detect_all_online(
+                &prefix,
+                prefix_window,
+                |r: RaterId| trust.trust_of(r),
+                &mut online_state,
+            );
             out.mark_suspicious_all(marks.iter().copied());
-
-            // Divergence watchdog: every Nth epoch, cross-check the
-            // online path against the batch oracle on the same prefix.
-            // Pure health telemetry — it never alters the run's output,
-            // so it only spends the batch re-detection when the metrics
-            // can actually land somewhere.
-            if online
-                && watchdog_every > 0
-                && (epoch_idx + 1) % watchdog_every == 0
-                && rrs_obs::enabled()
-            {
-                let _watchdog_span = rrs_obs::trace::span("scheme.watchdog");
-                let (batch_marks, _) = detector.detect_all(&prefix, prefix_window, trust_fn);
-                rrs_obs::metrics::counter_add(METRIC_WATCHDOG_CHECKS, 1);
-                // An add of 0 still registers the counter, so a healthy
-                // run reports an explicit `... 0` instead of silence.
-                rrs_obs::metrics::counter_add(
-                    METRIC_WATCHDOG_DIVERGENCES,
-                    u64::from(batch_marks != marks),
-                );
-                if batch_marks != marks {
-                    rrs_obs::rrs_error!(
-                        "online/batch divergence at epoch {epoch_idx}: \
-                         online marked {} ratings, batch oracle marked {}",
-                        marks.len(),
-                        batch_marks.len()
-                    );
-                }
-            }
 
             // 2. Update trust with this epoch's counts (Procedure 1),
             // optionally forgetting a fraction of the old evidence first.
@@ -214,7 +143,7 @@ impl AggregationScheme for PScheme {
             // Procedure 1 wrote only the touched records, so the next
             // detection re-reads only their trust. A discount rewrote
             // every record: declare nothing and let it resolve them all.
-            if online && self.config.trust_discount.is_none() {
+            if self.config.trust_discount.is_none() {
                 online_state.declare_trust_changes(update.touched.iter().copied());
             }
 
@@ -367,12 +296,15 @@ mod tests {
         prop_assert, props, Days, GroundTruth, ProductId, RaterId, Rating, RatingSource,
         RatingValue, Timestamp,
     };
+    use rrs_detectors::AblatedDetector;
 
     /// The pre-refactor reference implementation of
     /// [`PScheme::evaluate`]: every epoch materializes its prefix with
     /// `RatingDataset::restricted` (a full copy) instead of the zero-copy
-    /// [`RatingDataset::prefix_view`]. Kept behind `#[cfg(test)]` as the
-    /// oracle the view path is property-tested against.
+    /// [`RatingDataset::prefix_view`], and re-detects it from scratch with
+    /// batch [`JointDetector::detect_all`] over a trust snapshot instead
+    /// of carrying online state. Kept behind `#[cfg(test)]` as the oracle
+    /// `evaluate` is property-tested against.
     fn evaluate_with_restricted_copies(
         scheme: &PScheme,
         dataset: &RatingDataset,
@@ -438,13 +370,14 @@ mod tests {
     /// 90 days of fair data, ~4 ratings/day at mean 4.0, raters recur.
     fn fair_dataset(seed: u64) -> RatingDataset {
         let mut d = RatingDataset::new();
-        fill_fair(&mut d, seed);
+        fill_fair(&mut d, seed, ProductId::new(0));
         d
     }
 
-    /// Same fair stream appended to any starting dataset, so a scenario
-    /// can be materialized identically on both storage engines.
-    fn fill_fair(d: &mut RatingDataset, seed: u64) {
+    /// Appends a fair stream for `product` drawn from a pool of 200
+    /// recurring raters, so products filled with different seeds share
+    /// raters.
+    fn fill_fair(d: &mut RatingDataset, seed: u64, product: ProductId) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         for day in 0..90 {
             let n = 3 + (rng.gen::<u8>() % 3) as u32;
@@ -454,7 +387,7 @@ mod tests {
                 d.insert(
                     Rating::new(
                         RaterId::new(rater),
-                        ProductId::new(0),
+                        product,
                         ts(f64::from(day) + f64::from(slot) / f64::from(n)),
                         RatingValue::new_clamped(4.0 + rng.gen_range(-0.8..0.8)),
                     ),
@@ -560,7 +493,6 @@ mod tests {
         assert_eq!(s.name(), "P-scheme");
         assert_eq!(s.config().filter_trust_threshold, 0.5);
         assert_eq!(s.config().trust_discount, None);
-        assert_eq!(s.config().online_detection, None);
     }
 
     #[test]
@@ -572,85 +504,68 @@ mod tests {
     }
 
     props! {
+        // `evaluate` (prefix views, online detection, declared trust
+        // changes) against the copy-prefix, batch-detection oracle, with
+        // and without forgetting, under every single-detector ablation
+        // `rrs-eval` runs, and with a second fair product whose raters
+        // overlap the first's.
         #[test]
         fn prefix_view_path_equals_restricted_copy_oracle(
             seed in 0u64..64,
-            burst_start in 31.0f64..55.0,
-            burst_days in 0usize..10,
-            burst_value in 0.0f64..2.0,
+            burst in (31.0f64..55.0, 0usize..10, 0.0f64..2.0),
+            variant in (0usize..2, 0usize..5),
+            second_product in 0usize..2,
         ) {
+            let (burst_start, burst_days, burst_value) = burst;
+            let (discount, ablated) = variant;
             let mut d = fair_dataset(seed);
+            if second_product == 1 {
+                fill_fair(&mut d, seed + 1_000, ProductId::new(1));
+            }
             if burst_days > 0 {
                 add_burst(&mut d, burst_start, burst_days, 4, burst_value);
             }
+            let detectors = match ablated {
+                0 => DetectorConfig::paper(),
+                1 => DetectorConfig::paper().without(AblatedDetector::MeanChange),
+                2 => DetectorConfig::paper().without(AblatedDetector::ArrivalRate),
+                3 => DetectorConfig::paper().without(AblatedDetector::Histogram),
+                _ => DetectorConfig::paper().without(AblatedDetector::ModelError),
+            };
+            let scheme = PScheme::with_config(PSchemeConfig {
+                detectors,
+                trust_discount: [None, Some(0.8)][discount],
+                ..PSchemeConfig::paper()
+            });
             let context = ctx(&d);
-            let scheme = PScheme::new();
             let via_view = scheme.evaluate(&d, &context);
             let via_copy = evaluate_with_restricted_copies(&scheme, &d, &context);
             prop_assert!(
                 via_view == via_copy,
-                "prefix-view evaluate diverged from the restricted()-copy oracle"
+                "evaluate diverged from the restricted-copy batch oracle"
             );
         }
 
         #[test]
-        fn online_epoch_loop_equals_batch_oracle(
-            seed in 0u64..48,
-            burst_start in 31.0f64..55.0,
-            burst_days in 0usize..10,
-            burst_value in 0.0f64..2.0,
-        ) {
-            let mut d = fair_dataset(seed);
-            if burst_days > 0 {
-                add_burst(&mut d, burst_start, burst_days, 4, burst_value);
-            }
-            let context = ctx(&d);
-            let online = PScheme::with_config(PSchemeConfig {
-                online_detection: Some(true),
-                ..PSchemeConfig::paper()
-            })
-            .evaluate(&d, &context);
-            let batch = PScheme::with_config(PSchemeConfig {
-                online_detection: Some(false),
-                ..PSchemeConfig::paper()
-            })
-            .evaluate(&d, &context);
-            prop_assert!(
-                online == batch,
-                "incremental epoch loop diverged from the batch-detection oracle"
-            );
-        }
-
-        #[test]
-        fn scheme_outcomes_are_engine_invariant(
+        fn scheme_outcomes_are_thread_count_invariant(
             seed in 0u64..32,
             burst_start in 31.0f64..55.0,
             burst_days in 0usize..10,
             burst_value in 0.0f64..2.0,
         ) {
-            // The row store is the oracle: the full P-scheme pipeline must
-            // produce a bit-identical SchemeOutcome on the columnar
-            // engine, serially and under the full worker pool.
-            let mut col = RatingDataset::columnar();
-            let mut row = RatingDataset::row_oracle();
-            for d in [&mut col, &mut row] {
-                fill_fair(d, seed);
-                if burst_days > 0 {
-                    add_burst(d, burst_start, burst_days, 4, burst_value);
-                }
+            // The full P-scheme pipeline must produce a bit-identical
+            // SchemeOutcome serially and under the full worker pool.
+            let mut d = fair_dataset(seed);
+            if burst_days > 0 {
+                add_burst(&mut d, burst_start, burst_days, 4, burst_value);
             }
-            let context = ctx(&col);
+            let context = ctx(&d);
             let scheme = PScheme::new();
-            let row_out = rrs_core::par::with_threads(1, || scheme.evaluate(&row, &context));
-            let col1_out = rrs_core::par::with_threads(1, || scheme.evaluate(&col, &context));
-            let col8_out = rrs_core::par::with_threads(8, || scheme.evaluate(&col, &context));
+            let serial = rrs_core::par::with_threads(1, || scheme.evaluate(&d, &context));
+            let wide = rrs_core::par::with_threads(8, || scheme.evaluate(&d, &context));
             prop_assert!(
-                row_out == col1_out,
-                "columnar P-scheme diverged from the row oracle at 1 thread"
-            );
-            prop_assert!(
-                col1_out == col8_out,
-                "columnar P-scheme diverged between 1 and 8 threads"
+                serial == wide,
+                "P-scheme diverged between 1 and 8 threads"
             );
         }
     }

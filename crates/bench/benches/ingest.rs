@@ -65,11 +65,11 @@ fn synthesize(count: usize, seed: u64) -> Vec<Rating> {
     out
 }
 
-/// One timed bulk ingest of the whole corpus into a fresh columnar
-/// dataset; returns the dataset and the elapsed nanoseconds.
+/// One timed bulk ingest of the whole corpus into a fresh dataset;
+/// returns the dataset and the elapsed nanoseconds.
 fn timed_bulk_ingest(ratings: &[Rating]) -> (RatingDataset, u128) {
     let batch: Vec<Rating> = ratings.to_vec();
-    let mut dataset = RatingDataset::columnar();
+    let mut dataset = RatingDataset::new();
     let start = Instant::now();
     dataset.extend_from(batch, RatingSource::Fair);
     let elapsed = start.elapsed().as_nanos();
@@ -95,7 +95,7 @@ fn timed_full_scan(dataset: &RatingDataset) -> (f64, u128) {
 /// timed into the quantile sketch.
 fn append_latency(ratings: &[Rating]) -> QuantileSketch {
     let mut sketch = QuantileSketch::new();
-    let mut dataset = RatingDataset::columnar();
+    let mut dataset = RatingDataset::new();
     for rating in ratings.iter().take(APPEND_SAMPLE) {
         let start = Instant::now();
         dataset.insert(*rating, RatingSource::Fair);

@@ -110,15 +110,6 @@ fn math_kernels(h: &mut Harness) {
 }
 
 fn substrate_extras(h: &mut Harness) {
-    let mut rng = Xoshiro256pp::seed_from_u64(21);
-    let mut xs: Vec<f64> = (0..500).map(|_| 4.0 + rng.gen_range(-0.8..0.8)).collect();
-    for v in xs.iter_mut().skip(300) {
-        *v -= 1.5;
-    }
-    h.bench("kernel_cusum_scan_500", || {
-        rrs_signal::cusum::Cusum::scan(4.0, 0.3, 6.0, &xs).len()
-    });
-
     let workbench = bench_workbench(11);
     let csv = rrs_core::io::to_csv_string(workbench.challenge.fair_dataset());
     h.bench("io_csv_round_trip", || {

@@ -1,14 +1,14 @@
 //! The incremental-detection suite: the same attacked small-scale
-//! challenge as the `detection` suite, evaluated once with the batch
-//! epoch loop and once with the online epoch loop, plus the raw
-//! detector-only comparison without trust/aggregation around it.
+//! challenge as the `detection` suite, evaluated with the P-scheme's
+//! online epoch loop, plus the raw detector-only comparison of batch and
+//! online detection without trust/aggregation around it.
 //!
 //! Emits `BENCH_online.json`. The `"stage_breakdown"` section comes from
 //! one traced **online** run, so its `signal` stage shows the
 //! incremental per-epoch cost (compare with the same stage in
 //! `BENCH_detection.json` history for the batch-era numbers).
 
-use rrs_aggregation::{PScheme, PSchemeConfig};
+use rrs_aggregation::PScheme;
 use rrs_attack::AttackStrategy;
 use rrs_bench::{bench_workbench, Harness};
 use rrs_core::rng::Xoshiro256pp;
@@ -28,23 +28,13 @@ fn main() {
     let attacked = workbench.challenge.attacked_dataset(&seq);
     let ctx = workbench.challenge.eval_context();
 
-    let batch = PScheme::with_config(PSchemeConfig {
-        online_detection: Some(false),
-        ..PSchemeConfig::paper()
-    });
-    let online = PScheme::with_config(PSchemeConfig {
-        online_detection: Some(true),
-        ..PSchemeConfig::paper()
-    });
+    let scheme = PScheme::new();
 
     rrs_obs::disable();
 
-    // Full pipeline, both modes — identical output, different cost.
-    h.bench("epoch_loop_batch", || {
-        batch.evaluate(&attacked, &ctx).suspicious().len()
-    });
+    // The full pipeline: detection, trust and aggregation per epoch.
     h.bench("epoch_loop_online", || {
-        online.evaluate(&attacked, &ctx).suspicious().len()
+        scheme.evaluate(&attacked, &ctx).suspicious().len()
     });
 
     // Detector-only epoch loops (no trust/aggregation), isolating what
@@ -74,7 +64,7 @@ fn main() {
 
     // One traced online run feeding the per-stage breakdown: `signal` is
     // now the incremental absorb/settle cost, not a full re-derivation.
-    h.trace_stages(|| online.evaluate(&attacked, &ctx));
+    h.trace_stages(|| scheme.evaluate(&attacked, &ctx));
     rrs_obs::reset();
 
     h.finish();

@@ -1,7 +1,7 @@
 //! The `rrs` subcommands. Each returns its report as a `String`.
 
 use crate::args::Args;
-use rrs_aggregation::{BfScheme, PScheme, PSchemeConfig, SaScheme};
+use rrs_aggregation::{BfScheme, PScheme, SaScheme};
 use rrs_attack::{AttackContext, AttackStrategy, Direction, FairView};
 use rrs_challenge::{ChallengeConfig, RatingChallenge};
 use rrs_core::io::{read_csv, to_csv_string};
@@ -101,7 +101,6 @@ USAGE:
   rrs trace    [SCENARIO] [--out FILE] [--flamegraph FILE] [--seed N]
                [--period DAYS]
   rrs metrics  [SCENARIO] [--out FILE] [--seed N] [--period DAYS]
-               [--watchdog N]
   rrs dump     [SCENARIO] [--out FILE] [--seed N] [--period DAYS]
   rrs lint     [--root DIR] [--jsonl FILE]
   rrs serve    --dir DIR [--addr HOST:PORT] [--addr-file FILE]
@@ -620,12 +619,7 @@ struct ScenarioRun {
 /// The obs switch is restored to its prior state afterwards, but the
 /// sinks are left cleared: a scenario run's telemetry is only
 /// meaningful in isolation.
-fn run_scenario(
-    scenario: &str,
-    seed: u64,
-    period: f64,
-    watchdog_every: Option<usize>,
-) -> Result<ScenarioRun, CommandError> {
+fn run_scenario(scenario: &str, seed: u64, period: f64) -> Result<ScenarioRun, CommandError> {
     let strategy = scenario_strategy(scenario)?;
     let challenge = RatingChallenge::generate(&ChallengeConfig::small(), seed);
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -636,11 +630,7 @@ fn run_scenario(
     let was_enabled = rrs_obs::enabled();
     rrs_obs::enable();
     rrs_obs::reset();
-    let config = PSchemeConfig {
-        watchdog_every,
-        ..PSchemeConfig::paper()
-    };
-    let outcome = PScheme::with_config(config).evaluate(&attacked, &ctx);
+    let outcome = PScheme::new().evaluate(&attacked, &ctx);
     let records = rrs_obs::decision::drain();
     let spans = rrs_obs::trace::drain_spans();
     let metrics = rrs_obs::metrics::snapshot();
@@ -678,7 +668,7 @@ fn trace(tokens: &[String]) -> Result<String, CommandError> {
     let default_out = format!("trace_{scenario}.jsonl");
     let out_path = args.get("out").unwrap_or(&default_out);
 
-    let run = run_scenario(scenario, seed, period, Some(0))?;
+    let run = run_scenario(scenario, seed, period)?;
     rrs_obs::export::write_trace_file(Path::new(out_path), &run.records)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
@@ -717,9 +707,8 @@ fn trace(tokens: &[String]) -> Result<String, CommandError> {
     Ok(out)
 }
 
-/// `rrs metrics` — run a seeded scenario with full telemetry (including
-/// the online-vs-batch divergence watchdog) and render the run's metric
-/// registry in Prometheus text exposition format.
+/// `rrs metrics` — run a seeded scenario with full telemetry and render
+/// the run's metric registry in Prometheus text exposition format.
 ///
 /// The registry holds no wall-clock values on this path — counters,
 /// gauges, and quantile sketches all derive from the dataset — so the
@@ -728,12 +717,11 @@ fn trace(tokens: &[String]) -> Result<String, CommandError> {
 fn metrics(tokens: &[String]) -> Result<String, CommandError> {
     let (scenario, rest) = split_scenario(tokens);
     let args = Args::parse(rest.iter().cloned())?;
-    check_flags(&args, &["out", "seed", "period", "watchdog"])?;
+    check_flags(&args, &["out", "seed", "period"])?;
     let seed: u64 = args.parsed_or("seed", 7)?;
     let period: f64 = args.parsed_or("period", 30.0)?;
-    let watchdog: usize = args.parsed_or("watchdog", 1)?;
 
-    let run = run_scenario(scenario, seed, period, Some(watchdog))?;
+    let run = run_scenario(scenario, seed, period)?;
     let body = run.metrics.to_prometheus();
     match args.get("out") {
         Some(path) => {
@@ -763,7 +751,7 @@ fn dump(tokens: &[String]) -> Result<String, CommandError> {
     let default_out = format!("dump_{scenario}.jsonl");
     let out_path = args.get("out").unwrap_or(&default_out);
 
-    let run = run_scenario(scenario, seed, period, Some(0))?;
+    let run = run_scenario(scenario, seed, period)?;
     fs::write(out_path, &run.recorder_dump).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     Ok(format!(
         "scenario {scenario}: {} flight-recorder dump(s) ({} suspicious ratings) -> {out_path}\n",
@@ -904,10 +892,7 @@ mod tests {
         let body = run_ok("metrics", &["downgrade-burst", "--seed", "7"]);
         assert!(body.contains("# TYPE"), "{body}");
         assert!(body.contains("trust_epochs"), "{body}");
-        // The watchdog defaults to every epoch here, so its health
-        // counter must be present and nonzero.
-        assert!(body.contains("scheme_watchdog_checks"), "{body}");
-        assert!(!body.contains("scheme_watchdog_checks 0\n"), "{body}");
+        assert!(body.contains("scheme_suspicious_set_size"), "{body}");
         // The sketch renders as a quantile summary.
         assert!(body.contains("quantile=\"0.5\""), "{body}");
         assert!(!rrs_obs::enabled());

@@ -1,5 +1,7 @@
-use crate::store::{ColumnarStore, RatingStore, RowStore};
-use crate::{CoreError, ProductId, RaterId, Rating, RatingSource, TimeWindow, Timestamp};
+use crate::store::ColumnarStore;
+use crate::{
+    CoreError, ProductId, RaterId, Rating, RatingSource, RatingValue, TimeWindow, Timestamp,
+};
 use std::fmt;
 
 /// A dataset-unique identifier for an inserted rating.
@@ -21,7 +23,7 @@ impl RatingId {
     }
 }
 
-/// Builds a [`RatingId`] from its raw value (engine tests need to mint
+/// Builds a [`RatingId`] from its raw value (store tests need to mint
 /// ids without a dataset).
 #[cfg(test)]
 pub(crate) const fn raw_rating_id(value: u64) -> RatingId {
@@ -44,8 +46,8 @@ pub struct RatingEntry {
 }
 
 impl RatingEntry {
-    /// Assembles an entry from its parts (crate-internal: the columnar
-    /// engine reconstitutes entries from its columns).
+    /// Assembles an entry from its parts (crate-internal: views
+    /// reconstitute entries from the store's columns).
     pub(crate) const fn assemble(id: RatingId, rating: Rating, source: RatingSource) -> Self {
         RatingEntry { id, rating, source }
     }
@@ -87,162 +89,56 @@ impl RatingEntry {
     }
 }
 
-/// The time-ordered rating history of a single product, stored as rows.
-///
-/// This is the [`RowStore`] engine's per-product representation (and the
-/// unit its oracle tests build directly). Entries are kept sorted by
-/// `(time, id)`; ties in time preserve insertion order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProductTimeline {
-    entries: Vec<RatingEntry>,
-}
-
-impl ProductTimeline {
-    /// Returns a borrowed read view of this timeline.
-    #[must_use]
-    pub fn view(&self) -> TimelineView<'_> {
-        TimelineView::from_rows(&self.entries)
-    }
-
-    /// Returns the entries in time order.
-    #[must_use]
-    pub fn entries(&self) -> &[RatingEntry] {
-        &self.entries
-    }
-
-    /// Returns the number of ratings for this product.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if the product has no ratings.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Returns the sub-view of entries whose times fall in `window`.
-    #[must_use]
-    pub fn in_window(&self, window: TimeWindow) -> TimelineView<'_> {
-        self.view().in_window(window)
-    }
-
-    /// Returns all rating values in time order.
-    #[must_use]
-    pub fn values(&self) -> Vec<f64> {
-        self.view().values()
-    }
-
-    /// Returns all rating times in time order.
-    #[must_use]
-    pub fn times(&self) -> Vec<Timestamp> {
-        self.view().times()
-    }
-
-    /// Returns the mean rating value, or `None` if the timeline is empty.
-    #[must_use]
-    pub fn mean_value(&self) -> Option<f64> {
-        self.view().mean_value()
-    }
-
-    /// Counts ratings per whole day over `window`.
-    ///
-    /// Element `i` of the result is the number of ratings in
-    /// `[start + i, start + i + 1)` days; the last bucket is truncated at the
-    /// window end. This is the `y(n)` series of the paper's arrival-rate
-    /// change detector.
-    #[must_use]
-    pub fn daily_counts(&self, window: TimeWindow) -> Vec<u32> {
-        self.view().daily_counts(window)
-    }
-
-    /// Counts ratings per whole day, restricted to values accepted by
-    /// `keep`.
-    ///
-    /// The H-ARC and L-ARC detectors use this with "value above
-    /// `threshold_a`" and "value below `threshold_b`" predicates.
-    #[must_use]
-    pub fn daily_counts_filtered<F>(&self, window: TimeWindow, keep: F) -> Vec<u32>
-    where
-        F: FnMut(f64) -> bool,
-    {
-        self.view().daily_counts_filtered(window, keep)
-    }
-
-    pub(crate) fn insert(&mut self, entry: RatingEntry) {
-        // Insertion keeps (time, id) order; typical insertions are appends
-        // because generators emit ratings in time order.
-        let pos = self
-            .entries
-            .partition_point(|e| (e.time(), e.id()) <= (entry.time(), entry.id()));
-        self.entries.insert(pos, entry);
-    }
-}
-
-/// Borrowed column slices of one product: the columnar half of a
-/// [`TimelineView`]. Index `i` across the five slices reassembles the
-/// `i`-th entry; the product id rides along because columns don't store
-/// it per row.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ColumnsRef<'a> {
-    pub(crate) product: ProductId,
-    pub(crate) ids: &'a [RatingId],
-    pub(crate) times: &'a [Timestamp],
-    pub(crate) values: &'a [f64],
-    pub(crate) raters: &'a [RaterId],
-    pub(crate) sources: &'a [RatingSource],
-}
-
-/// The two borrowed representations a view can walk.
-#[derive(Debug, Clone, Copy)]
-enum TlRepr<'a> {
-    Rows(&'a [RatingEntry]),
-    Cols(ColumnsRef<'a>),
-}
-
 /// A borrowed, copyable read view of one product's rating history.
 ///
-/// The view is representation-agnostic: it walks either a row slice
-/// (`&[RatingEntry]`, from [`RowStore`] / [`ProductTimeline`]) or the
-/// parallel column slices of the [`ColumnarStore`] — callers read through
-/// one indexed API (`len` / [`entry`](TimelineView::entry) /
-/// [`value_at`](TimelineView::value_at) / …) or the by-value
-/// [`iter`](TimelineView::iter), and never learn which engine backs the
-/// data. On the columnar path, [`values`](TimelineView::values) and
-/// [`times`](TimelineView::times) are contiguous column copies — the
-/// cache-friendly scans the detectors feed on.
+/// The view holds the [`RatingDataset`]'s parallel column slices for one
+/// product; index `i` across them reassembles the `i`-th entry, and the
+/// product id rides along because the columns don't store it per row.
+/// Callers read through one indexed API (`len` /
+/// [`entry`](TimelineView::entry) / [`value_at`](TimelineView::value_at)
+/// / …) or the by-value [`iter`](TimelineView::iter).
+/// [`values`](TimelineView::values) and [`times`](TimelineView::times)
+/// are contiguous column copies — the cache-friendly scans the detectors
+/// feed on.
 ///
 /// The type is `Copy`; methods take `self`, and window restriction
 /// ([`in_window`](TimelineView::in_window)) returns a sub-view borrowing
-/// the same storage. Detector entry points accept
-/// `impl Into<TimelineView>` and therefore work identically on
-/// `&ProductTimeline` and on views.
+/// the same storage.
 #[derive(Debug, Clone, Copy)]
 pub struct TimelineView<'a> {
-    repr: TlRepr<'a>,
+    product: ProductId,
+    ids: &'a [RatingId],
+    times: &'a [Timestamp],
+    values: &'a [f64],
+    raters: &'a [RaterId],
+    sources: &'a [RatingSource],
 }
 
 impl<'a> TimelineView<'a> {
-    pub(crate) fn from_rows(entries: &'a [RatingEntry]) -> Self {
+    /// Wraps one product's column slices, which must share one length
+    /// and one `(time, id)`-sorted order.
+    pub(crate) fn from_columns(
+        product: ProductId,
+        ids: &'a [RatingId],
+        times: &'a [Timestamp],
+        values: &'a [f64],
+        raters: &'a [RaterId],
+        sources: &'a [RatingSource],
+    ) -> Self {
         TimelineView {
-            repr: TlRepr::Rows(entries),
-        }
-    }
-
-    pub(crate) fn from_columns(cols: ColumnsRef<'a>) -> Self {
-        TimelineView {
-            repr: TlRepr::Cols(cols),
+            product,
+            ids,
+            times,
+            values,
+            raters,
+            sources,
         }
     }
 
     /// Returns the number of ratings in the view.
     #[must_use]
     pub fn len(self) -> usize {
-        match self.repr {
-            TlRepr::Rows(entries) => entries.len(),
-            TlRepr::Cols(cols) => cols.ids.len(),
-        }
+        self.ids.len()
     }
 
     /// Returns `true` if the view holds no ratings.
@@ -258,55 +154,48 @@ impl<'a> TimelineView<'a> {
     /// Panics if `index` is out of bounds, like slice indexing.
     #[must_use]
     pub fn entry(self, index: usize) -> RatingEntry {
-        match self.repr {
-            TlRepr::Rows(entries) => entries[index],
-            TlRepr::Cols(cols) => crate::store::assemble_entry(&cols, index),
-        }
+        // Values were validated on the way in, so the clamping
+        // constructor is an identity here.
+        RatingEntry::assemble(
+            self.ids[index],
+            Rating::new(
+                self.raters[index],
+                self.product,
+                self.times[index],
+                RatingValue::new_clamped(self.values[index]),
+            ),
+            self.sources[index],
+        )
     }
 
     /// Returns the `index`-th rating identifier.
     #[must_use]
     pub fn id_at(self, index: usize) -> RatingId {
-        match self.repr {
-            TlRepr::Rows(entries) => entries[index].id(),
-            TlRepr::Cols(cols) => cols.ids[index],
-        }
+        self.ids[index]
     }
 
     /// Returns the `index`-th rating time.
     #[must_use]
     pub fn time_at(self, index: usize) -> Timestamp {
-        match self.repr {
-            TlRepr::Rows(entries) => entries[index].time(),
-            TlRepr::Cols(cols) => cols.times[index],
-        }
+        self.times[index]
     }
 
     /// Returns the `index`-th rating value.
     #[must_use]
     pub fn value_at(self, index: usize) -> f64 {
-        match self.repr {
-            TlRepr::Rows(entries) => entries[index].value(),
-            TlRepr::Cols(cols) => cols.values[index],
-        }
+        self.values[index]
     }
 
     /// Returns the `index`-th rater.
     #[must_use]
     pub fn rater_at(self, index: usize) -> RaterId {
-        match self.repr {
-            TlRepr::Rows(entries) => entries[index].rater(),
-            TlRepr::Cols(cols) => cols.raters[index],
-        }
+        self.raters[index]
     }
 
     /// Returns the `index`-th provenance.
     #[must_use]
     pub fn source_at(self, index: usize) -> RatingSource {
-        match self.repr {
-            TlRepr::Rows(entries) => entries[index].source(),
-            TlRepr::Cols(cols) => cols.sources[index],
-        }
+        self.sources[index]
     }
 
     /// Returns the first entry, if any.
@@ -338,16 +227,13 @@ impl<'a> TimelineView<'a> {
 
     /// Returns the sub-view over `[lo, hi)` of this view's entries.
     fn subrange(self, lo: usize, hi: usize) -> TimelineView<'a> {
-        match self.repr {
-            TlRepr::Rows(entries) => TimelineView::from_rows(&entries[lo..hi]),
-            TlRepr::Cols(cols) => TimelineView::from_columns(ColumnsRef {
-                product: cols.product,
-                ids: &cols.ids[lo..hi],
-                times: &cols.times[lo..hi],
-                values: &cols.values[lo..hi],
-                raters: &cols.raters[lo..hi],
-                sources: &cols.sources[lo..hi],
-            }),
+        TimelineView {
+            product: self.product,
+            ids: &self.ids[lo..hi],
+            times: &self.times[lo..hi],
+            values: &self.values[lo..hi],
+            raters: &self.raters[lo..hi],
+            sources: &self.sources[lo..hi],
         }
     }
 
@@ -369,31 +255,20 @@ impl<'a> TimelineView<'a> {
 
     /// Index of the first entry with `time >= t`.
     fn lower_bound(self, t: Timestamp) -> usize {
-        match self.repr {
-            TlRepr::Rows(entries) => entries.partition_point(|e| e.time() < t),
-            TlRepr::Cols(cols) => cols.times.partition_point(|&time| time < t),
-        }
+        self.times.partition_point(|&time| time < t)
     }
 
-    /// Returns all rating values in time order.
-    ///
-    /// On the columnar path this is a straight copy of the contiguous
-    /// `f64` column.
+    /// Returns all rating values in time order: a straight copy of the
+    /// contiguous `f64` column.
     #[must_use]
     pub fn values(self) -> Vec<f64> {
-        match self.repr {
-            TlRepr::Rows(entries) => entries.iter().map(RatingEntry::value).collect(),
-            TlRepr::Cols(cols) => cols.values.to_vec(),
-        }
+        self.values.to_vec()
     }
 
     /// Returns all rating times in time order.
     #[must_use]
     pub fn times(self) -> Vec<Timestamp> {
-        match self.repr {
-            TlRepr::Rows(entries) => entries.iter().map(RatingEntry::time).collect(),
-            TlRepr::Cols(cols) => cols.times.to_vec(),
-        }
+        self.times.to_vec()
     }
 
     /// Returns the mean rating value, or `None` if the view is empty.
@@ -402,23 +277,27 @@ impl<'a> TimelineView<'a> {
         if self.is_empty() {
             None
         } else {
-            let sum: f64 = match self.repr {
-                TlRepr::Rows(entries) => entries.iter().map(RatingEntry::value).sum(),
-                TlRepr::Cols(cols) => cols.values.iter().sum(),
-            };
+            let sum: f64 = self.values.iter().sum();
             Some(sum / self.len() as f64)
         }
     }
 
-    /// Counts ratings per whole day over `window`; see
-    /// [`ProductTimeline::daily_counts`].
+    /// Counts ratings per whole day over `window`.
+    ///
+    /// Element `i` of the result is the number of ratings in
+    /// `[start + i, start + i + 1)` days; the last bucket is truncated at the
+    /// window end. This is the `y(n)` series of the paper's arrival-rate
+    /// change detector.
     #[must_use]
     pub fn daily_counts(self, window: TimeWindow) -> Vec<u32> {
         self.daily_counts_filtered(window, |_| true)
     }
 
     /// Counts ratings per whole day, restricted to values accepted by
-    /// `keep`; see [`ProductTimeline::daily_counts_filtered`].
+    /// `keep`.
+    ///
+    /// The H-ARC and L-ARC detectors use this with "value above
+    /// `threshold_a`" and "value below `threshold_b`" predicates.
     #[must_use]
     pub fn daily_counts_filtered<F>(self, window: TimeWindow, mut keep: F) -> Vec<u32>
     where
@@ -438,48 +317,11 @@ impl<'a> TimelineView<'a> {
     }
 }
 
-/// Views are equal when their logical entry sequences are equal, no
-/// matter which engine (rows or columns) backs either side — this is
-/// what the cross-engine oracle tests assert with.
+/// Views are equal when their entry sequences are equal, whichever
+/// storage they borrow from.
 impl<'a, 'b> PartialEq<TimelineView<'b>> for TimelineView<'a> {
     fn eq(&self, other: &TimelineView<'b>) -> bool {
         self.len() == other.len() && (0..self.len()).all(|i| self.entry(i) == other.entry(i))
-    }
-}
-
-impl<'a> From<&'a ProductTimeline> for TimelineView<'a> {
-    fn from(timeline: &'a ProductTimeline) -> Self {
-        timeline.view()
-    }
-}
-
-/// The storage engine actually backing a dataset (see [`crate::store`]).
-#[derive(Debug, Clone)]
-enum Backend {
-    Columnar(ColumnarStore),
-    Row(RowStore),
-}
-
-impl Backend {
-    fn store(&self) -> &dyn RatingStore {
-        match self {
-            Backend::Columnar(s) => s,
-            Backend::Row(s) => s,
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut dyn RatingStore {
-        match self {
-            Backend::Columnar(s) => s,
-            Backend::Row(s) => s,
-        }
-    }
-
-    fn empty_like(&self) -> Backend {
-        match self {
-            Backend::Columnar(_) => Backend::Columnar(ColumnarStore::new()),
-            Backend::Row(_) => Backend::Row(RowStore::new()),
-        }
     }
 }
 
@@ -490,12 +332,8 @@ impl Backend {
 /// modified copy with unfair ratings inserted, and the MP metric compares
 /// aggregation results on the two.
 ///
-/// Storage is delegated to a [`RatingStore`] engine: the sharded
-/// [`ColumnarStore`] by default, or the [`RowStore`] oracle when
-/// `RRS_STORE=row` is set (or [`row_oracle`](RatingDataset::row_oracle)
-/// is used). All reads go through [`TimelineView`]s, so consumers are
-/// engine-agnostic and the two engines can be byte-diffed against each
-/// other.
+/// Ratings live in a sharded struct-of-arrays store, one set of columns
+/// per product, and all reads go through borrowed [`TimelineView`]s.
 ///
 /// # Example
 ///
@@ -524,65 +362,17 @@ impl Backend {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RatingDataset {
-    backend: Backend,
+    store: ColumnarStore,
     next_id: u64,
 }
 
-impl Default for RatingDataset {
-    fn default() -> Self {
-        RatingDataset::new()
-    }
-}
-
-/// Datasets are equal when their id counters and logical contents agree,
-/// regardless of which engine holds the ratings.
-impl PartialEq for RatingDataset {
-    fn eq(&self, other: &Self) -> bool {
-        self.next_id == other.next_id && self.store().timelines() == other.store().timelines()
-    }
-}
-
 impl RatingDataset {
-    /// Creates an empty dataset on the engine selected by the
-    /// environment: the columnar store, or the row oracle when
-    /// `RRS_STORE=row`.
+    /// Creates an empty dataset.
     #[must_use]
     pub fn new() -> Self {
-        if crate::store::row_store_forced() {
-            RatingDataset::row_oracle()
-        } else {
-            RatingDataset::columnar()
-        }
-    }
-
-    /// Creates an empty dataset pinned to the sharded columnar engine.
-    #[must_use]
-    pub fn columnar() -> Self {
-        RatingDataset {
-            backend: Backend::Columnar(ColumnarStore::new()),
-            next_id: 0,
-        }
-    }
-
-    /// Creates an empty dataset pinned to the row-store oracle engine.
-    #[must_use]
-    pub fn row_oracle() -> Self {
-        RatingDataset {
-            backend: Backend::Row(RowStore::new()),
-            next_id: 0,
-        }
-    }
-
-    /// Returns `true` when the row-oracle engine backs this dataset.
-    #[must_use]
-    pub fn is_row_backed(&self) -> bool {
-        matches!(self.backend, Backend::Row(_))
-    }
-
-    fn store(&self) -> &dyn RatingStore {
-        self.backend.store()
+        RatingDataset::default()
     }
 
     /// Inserts a rating with the given provenance and returns its
@@ -590,18 +380,16 @@ impl RatingDataset {
     pub fn insert(&mut self, rating: Rating, source: RatingSource) -> RatingId {
         let id = RatingId(self.next_id);
         self.next_id += 1;
-        self.backend
-            .store_mut()
-            .insert_entry(RatingEntry { id, rating, source });
+        self.store.insert_entry(RatingEntry { id, rating, source });
         id
     }
 
     /// Inserts every rating from an iterator, all with the same provenance.
     ///
     /// Identifiers are assigned in iterator order exactly as repeated
-    /// [`insert`](Self::insert) calls would, but the engine ingests the
-    /// batch in bulk — the columnar store buckets it per shard and runs
-    /// the shards through [`crate::par::par_map_owned`].
+    /// [`insert`](Self::insert) calls would, but the store ingests the
+    /// batch in bulk: it buckets it per shard and runs the shards through
+    /// [`crate::par::par_map_owned`].
     pub fn extend_from<I>(&mut self, ratings: I, source: RatingSource)
     where
         I: IntoIterator<Item = Rating>,
@@ -614,25 +402,25 @@ impl RatingDataset {
                 RatingEntry { id, rating, source }
             })
             .collect();
-        self.backend.store_mut().bulk_insert(entries);
+        self.store.bulk_insert(entries);
     }
 
     /// Returns the timeline view for `product`, if any rating exists for
     /// it.
     #[must_use]
     pub fn product(&self, product: ProductId) -> Option<TimelineView<'_>> {
-        self.store().timeline(product)
+        self.store.timeline(product)
     }
 
     /// Iterates over `(product, timeline)` pairs in product order.
     pub fn products(&self) -> impl Iterator<Item = (ProductId, TimelineView<'_>)> {
-        self.store().timelines().into_iter()
+        self.store.timelines().into_iter()
     }
 
     /// Returns the product identifiers present in the dataset.
     #[must_use]
     pub fn product_ids(&self) -> Vec<ProductId> {
-        self.store()
+        self.store
             .timelines()
             .into_iter()
             .map(|(pid, _)| pid)
@@ -642,13 +430,13 @@ impl RatingDataset {
     /// Returns the total number of ratings across all products.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.store().len()
+        self.store.len()
     }
 
     /// Returns `true` if the dataset holds no ratings.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.store().is_empty()
+        self.store.len() == 0
     }
 
     /// Returns the earliest and latest rating time across all products.
@@ -658,7 +446,7 @@ impl RatingDataset {
     /// Returns [`CoreError::Empty`] if the dataset holds no ratings.
     pub fn time_span(&self) -> Result<(Timestamp, Timestamp), CoreError> {
         let mut span: Option<(Timestamp, Timestamp)> = None;
-        for (_, tl) in self.store().timelines() {
+        for (_, tl) in self.store.timelines() {
             if let (Some(first), Some(last)) = (tl.first(), tl.last()) {
                 span = Some(match span {
                     None => (first.time(), last.time()),
@@ -674,7 +462,7 @@ impl RatingDataset {
     #[must_use]
     pub fn unfair_ids(&self) -> Vec<RatingId> {
         let mut out = Vec::new();
-        for (_, tl) in self.store().timelines() {
+        for (_, tl) in self.store.timelines() {
             for i in 0..tl.len() {
                 if tl.source_at(i).is_unfair() {
                     out.push(tl.id_at(i));
@@ -688,7 +476,7 @@ impl RatingDataset {
     #[must_use]
     pub fn raters(&self) -> Vec<RaterId> {
         let mut set = std::collections::BTreeSet::new();
-        for (_, tl) in self.store().timelines() {
+        for (_, tl) in self.store.timelines() {
             for i in 0..tl.len() {
                 set.insert(tl.rater_at(i));
             }
@@ -696,21 +484,21 @@ impl RatingDataset {
         set.into_iter().collect()
     }
 
-    /// Returns a copy of this dataset (same engine) containing only the
-    /// entries accepted by `keep`, with identifiers preserved.
+    /// Returns a copy of this dataset containing only the entries
+    /// accepted by `keep`, with identifiers preserved.
     fn filtered_copy<F>(&self, mut keep: F) -> RatingDataset
     where
         F: FnMut(&RatingEntry) -> bool,
     {
         let mut kept = Vec::new();
-        for (_, tl) in self.store().timelines() {
+        for (_, tl) in self.store.timelines() {
             kept.extend(tl.iter().filter(|e| keep(e)));
         }
         let mut out = RatingDataset {
-            backend: self.backend.empty_like(),
+            store: ColumnarStore::default(),
             next_id: self.next_id,
         };
-        out.backend.store_mut().bulk_insert(kept);
+        out.store.bulk_insert(kept);
         out
     }
 
@@ -725,7 +513,7 @@ impl RatingDataset {
     /// Iterates over every entry in the dataset, grouped by product and in
     /// time order within each product.
     pub fn iter(&self) -> impl Iterator<Item = RatingEntry> + '_ {
-        self.store()
+        self.store
             .timelines()
             .into_iter()
             .flat_map(|(_, tl)| tl.iter())
@@ -745,18 +533,13 @@ impl RatingDataset {
 
     /// Returns a borrowed view of the whole dataset.
     ///
-    /// Products with no ratings are omitted, so `view()` and
+    /// The store holds no product without ratings, so `view()` and
     /// [`prefix_view`](Self::prefix_view) over a window covering the
     /// whole time span expose the same product set.
     #[must_use]
     pub fn view(&self) -> DatasetView<'_> {
         DatasetView {
-            products: self
-                .store()
-                .timelines()
-                .into_iter()
-                .filter(|(_, tl)| !tl.is_empty())
-                .collect(),
+            products: self.store.timelines(),
         }
     }
 
@@ -774,7 +557,7 @@ impl RatingDataset {
     #[must_use]
     pub fn prefix_view(&self, window: TimeWindow) -> DatasetView<'_> {
         let mut products = Vec::new();
-        for (pid, tl) in self.store().timelines() {
+        for (pid, tl) in self.store.timelines() {
             let scoped = tl.in_window(window);
             if !scoped.is_empty() {
                 products.push((pid, scoped));
@@ -842,8 +625,8 @@ impl<'a> From<&DatasetView<'a>> for DatasetView<'a> {
 mod tests {
     use super::*;
     use crate::check::vec_of;
-    use crate::RatingValue;
     use crate::{prop_assert, prop_assert_eq, props};
+    use std::collections::BTreeMap;
 
     fn rating(rater: u32, product: u16, day: f64, value: f64) -> Rating {
         Rating::new(
@@ -858,16 +641,35 @@ mod tests {
         TimeWindow::new(Timestamp::new(a).unwrap(), Timestamp::new(b).unwrap()).unwrap()
     }
 
-    /// Builds the same dataset on both engines.
-    fn on_both_engines(days: &[f64]) -> (RatingDataset, RatingDataset) {
-        let mut col = RatingDataset::columnar();
-        let mut row = RatingDataset::row_oracle();
+    /// Builds a dataset from `days`, spreading ratings over five products.
+    fn spread_over_products(days: &[f64]) -> RatingDataset {
+        let mut d = RatingDataset::new();
         for (i, day) in days.iter().enumerate() {
-            let r = rating(i as u32, (i % 5) as u16, *day, 1.0 + (i % 4) as f64);
-            col.insert(r, RatingSource::Fair);
-            row.insert(r, RatingSource::Fair);
+            d.insert(
+                rating(i as u32, (i % 5) as u16, *day, 1.0 + (i % 4) as f64),
+                RatingSource::Fair,
+            );
         }
-        (col, row)
+        d
+    }
+
+    /// The row layout the columnar store is checked against: per
+    /// product, a `Vec<RatingEntry>` sorted by `(time, id)`, with ids
+    /// assigned in insertion order.
+    fn row_reference(ratings: &[(Rating, RatingSource)]) -> BTreeMap<ProductId, Vec<RatingEntry>> {
+        let mut rows: BTreeMap<ProductId, Vec<RatingEntry>> = BTreeMap::new();
+        for (i, &(rating, source)) in ratings.iter().enumerate() {
+            let entry = RatingEntry {
+                id: RatingId(i as u64),
+                rating,
+                source,
+            };
+            let timeline = rows.entry(rating.product()).or_default();
+            let pos =
+                timeline.partition_point(|e| (e.time(), e.id()) <= (entry.time(), entry.id()));
+            timeline.insert(pos, entry);
+        }
+        rows
     }
 
     #[test]
@@ -1010,7 +812,7 @@ mod tests {
         d.insert(rating(2, 0, 1.0, 4.0), RatingSource::Fair);
         let tl = d.product(ProductId::new(0)).unwrap();
         assert_eq!(tl.mean_value(), Some(3.0));
-        assert_eq!(ProductTimeline::default().mean_value(), None);
+        assert_eq!(tl.in_window(window(5.0, 6.0)).mean_value(), None);
     }
 
     #[test]
@@ -1066,20 +868,6 @@ mod tests {
         assert_eq!(tl.in_window(w), tl);
     }
 
-    #[test]
-    fn row_and_columnar_datasets_compare_equal() {
-        let days = [5.0, 1.0, 40.0, 3.0, 3.0, 88.0, 12.5, 0.0];
-        let (col, row) = on_both_engines(&days);
-        assert!(!col.is_row_backed());
-        assert!(row.is_row_backed());
-        assert_eq!(col, row);
-        assert_eq!(col.view(), row.view());
-        assert_eq!(
-            col.prefix_view(window(0.0, 30.0)),
-            row.prefix_view(window(0.0, 30.0))
-        );
-    }
-
     props! {
         #[test]
         fn prefix_view_equals_restricted_on_random_windows(
@@ -1125,29 +913,53 @@ mod tests {
             }
         }
 
-        // Cross-engine oracle: every read API agrees between the row
-        // and columnar engines on arbitrary data.
+        // The row reference: the columnar store exposes the same
+        // entries, bit for bit, through every read path. Days are drawn
+        // on a half-day grid so ties in time exercise the id order.
         #[test]
-        fn row_and_columnar_engines_are_bit_identical(
-            days in vec_of(0.0f64..120.0, 0..80)
+        fn columns_equal_the_row_reference(
+            draws in vec_of((0u32..120, 0u16..9, 0.0f64..=5.0, 0u32..40), 0..80),
+            window_start in 0.0f64..40.0,
         ) {
-            let (col, row) = on_both_engines(&days);
-            prop_assert_eq!(col.len(), row.len());
-            prop_assert_eq!(col.product_ids(), row.product_ids());
-            prop_assert_eq!(col.raters(), row.raters());
-            prop_assert_eq!(col.view(), row.view());
-            let w = window(15.0, 75.0);
-            prop_assert_eq!(col.prefix_view(w), row.prefix_view(w));
-            for (pid, ctl) in col.view().products() {
-                let rtl = row.product(*pid).unwrap();
-                // Bit-level agreement on the hot columns.
-                let cbits: Vec<u64> =
-                    ctl.values().iter().map(|v| v.to_bits()).collect();
-                let rbits: Vec<u64> =
-                    rtl.values().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(cbits, rbits);
-                prop_assert_eq!(ctl.times(), rtl.times());
+            let ratings: Vec<(Rating, RatingSource)> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(half_days, product, value, rater))| {
+                    let source = if i % 3 == 0 { RatingSource::Unfair } else { RatingSource::Fair };
+                    (rating(rater, product, f64::from(half_days) / 2.0, value), source)
+                })
+                .collect();
+            let mut d = RatingDataset::new();
+            for &(r, source) in &ratings {
+                d.insert(r, source);
             }
+            let rows = row_reference(&ratings);
+            let w = window(window_start, window_start + 25.0);
+            prop_assert_eq!(d.len(), ratings.len());
+            prop_assert_eq!(d.product_ids(), rows.keys().copied().collect::<Vec<_>>());
+            let mut in_window_rows = Vec::new();
+            for (pid, row) in &rows {
+                let tl = d.product(*pid).unwrap();
+                prop_assert_eq!(&tl.to_vec(), row);
+                let bits: Vec<u64> = tl.values().iter().map(|v| v.to_bits()).collect();
+                let row_bits: Vec<u64> = row.iter().map(|e| e.value().to_bits()).collect();
+                prop_assert_eq!(bits, row_bits);
+                let row_times: Vec<Timestamp> = row.iter().map(RatingEntry::time).collect();
+                prop_assert_eq!(tl.times(), row_times);
+                let scoped: Vec<RatingEntry> =
+                    row.iter().filter(|e| w.contains(e.time())).copied().collect();
+                prop_assert_eq!(tl.in_window(w).to_vec(), scoped.clone());
+                if !scoped.is_empty() {
+                    in_window_rows.push((*pid, scoped));
+                }
+            }
+            let prefix: Vec<(ProductId, Vec<RatingEntry>)> = d
+                .prefix_view(w)
+                .products()
+                .iter()
+                .map(|(pid, tl)| (*pid, tl.to_vec()))
+                .collect();
+            prop_assert_eq!(prefix, in_window_rows);
         }
 
         // `view()` omits empty timelines, so it exposes exactly the
@@ -1174,9 +986,9 @@ mod tests {
         fn dataset_views_keep_products_sorted(
             days in vec_of(0.0f64..60.0, 0..50)
         ) {
-            let (col, row) = on_both_engines(&days);
+            let d = spread_over_products(&days);
             let w = window(10.0, 45.0);
-            for view in [col.view(), row.view(), col.prefix_view(w), row.prefix_view(w)] {
+            for view in [d.view(), d.prefix_view(w)] {
                 for pair in view.products().windows(2) {
                     prop_assert!(pair[0].0 < pair[1].0);
                 }
@@ -1187,8 +999,8 @@ mod tests {
             }
         }
 
-        // Bulk ingest must agree with one-at-a-time inserts on both
-        // engines and at any thread count.
+        // Bulk ingest must agree with one-at-a-time inserts at any thread
+        // count.
         #[test]
         fn extend_from_matches_repeated_insert(
             days in vec_of(0.0f64..90.0, 0..60)
@@ -1198,17 +1010,15 @@ mod tests {
                 .enumerate()
                 .map(|(i, day)| rating(i as u32, (i % 6) as u16, *day, 2.0))
                 .collect();
-            for fresh in [RatingDataset::columnar, RatingDataset::row_oracle] {
-                let mut serial = fresh();
-                for r in &ratings {
-                    serial.insert(*r, RatingSource::Fair);
-                }
-                let mut bulk = fresh();
-                crate::par::with_threads(8, || {
-                    bulk.extend_from(ratings.iter().copied(), RatingSource::Fair);
-                });
-                prop_assert_eq!(&serial, &bulk);
+            let mut serial = RatingDataset::new();
+            for r in &ratings {
+                serial.insert(*r, RatingSource::Fair);
             }
+            let mut bulk = RatingDataset::new();
+            crate::par::with_threads(8, || {
+                bulk.extend_from(ratings.iter().copied(), RatingSource::Fair);
+            });
+            prop_assert_eq!(&serial, &bulk);
         }
     }
 }

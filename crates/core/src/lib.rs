@@ -8,9 +8,9 @@
 //!   [`TimeWindow`]),
 //! * individual ratings and their fair/unfair provenance ([`Rating`],
 //!   [`RatingSource`]),
-//! * the [`RatingDataset`] container holding per-product timelines,
-//!   backed by pluggable storage engines ([`store`]): a sharded
-//!   struct-of-arrays [`ColumnarStore`] and the [`RowStore`] oracle,
+//! * the [`RatingDataset`] container holding per-product timelines in a
+//!   sharded struct-of-arrays store, read through borrowed
+//!   [`TimelineView`]s,
 //! * the manipulation-power (MP) metric of Feng et al. (ICDCS 2008)
 //!   ([`metrics`]),
 //! * the [`AggregationScheme`] trait implemented by defense schemes, and
@@ -49,14 +49,12 @@ pub mod par;
 mod rating;
 pub mod rng;
 mod scheme;
-pub mod store;
+mod store;
 pub mod stream;
 mod time;
 mod value;
 
-pub use dataset::{
-    DatasetView, ProductTimeline, RatingDataset, RatingEntry, RatingId, TimelineView,
-};
+pub use dataset::{DatasetView, RatingDataset, RatingEntry, RatingId, TimelineView};
 pub use error::CoreError;
 pub use ids::{ProductId, RaterId};
 pub use labels::{ConfusionCounts, GroundTruth};
@@ -65,6 +63,5 @@ pub use metrics::{
 };
 pub use rating::{Rating, RatingSource};
 pub use scheme::{AggregationScheme, EvalContext, SchemeOutcome, ScoringMode};
-pub use store::{ColumnarStore, RatingStore, RowStore};
 pub use time::{Days, TimeWindow, Timestamp};
 pub use value::RatingValue;

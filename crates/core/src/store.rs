@@ -1,33 +1,25 @@
-//! Storage engines behind [`RatingDataset`](crate::RatingDataset): the
-//! engine/ports split.
+//! The storage engine behind [`RatingDataset`](crate::RatingDataset).
 //!
 //! The paper logic (detectors, trust, aggregation) is a pure core that
 //! reads ratings exclusively through the borrowed views
 //! [`TimelineView`](crate::TimelineView) / [`DatasetView`](crate::DatasetView).
-//! This module is the *port* those views plug into: a narrow
-//! [`RatingStore`] trait with two adapters —
-//!
-//! * [`ColumnarStore`] — the production engine. A struct-of-arrays layout
-//!   sharded by product: each shard owns parallel `ids` / `times` /
-//!   `values` / `raters` / `sources` columns per product, so detector
-//!   scans walk contiguous `f64`/`Timestamp` columns instead of hopping
-//!   across 56-byte row structs, and bulk ingest fans shards out through
-//!   [`crate::par::par_map_owned`].
-//! * [`RowStore`] — the original row-oriented `BTreeMap` engine, kept as
-//!   the oracle (the `prefix_view` pattern): property tests assert
-//!   bit-identical detection and scheme results between the two engines,
-//!   and CI byte-diffs a full `RRS_STORE=row` run against the columnar
-//!   default.
+//! [`ColumnarStore`] is what those views borrow from: a struct-of-arrays
+//! layout sharded by product. Each shard owns parallel `ids` / `times` /
+//! `values` / `raters` / `sources` columns per product, so detector scans
+//! walk contiguous `f64`/`Timestamp` columns instead of hopping across
+//! 56-byte row structs, and bulk ingest fans shards out through
+//! [`crate::par::par_map_owned`]. The dataset tests keep a row layout
+//! (one `(time, id)`-sorted `Vec<RatingEntry>` per product) as the
+//! reference the columns are checked against bit for bit.
 //!
 //! Determinism: shards are keyed by disjoint [`ProductId`] ranges and
 //! never share state, so per-shard parallel ingest commutes — each
 //! rating lands in exactly one shard, and within a shard entries are
-//! ordered by `(time, id)` exactly as the row engine orders them. A
-//! 1-thread and an 8-thread ingest therefore build byte-identical
-//! stores.
+//! ordered by `(time, id)`. A 1-thread and an 8-thread ingest therefore
+//! build byte-identical stores.
 
-use crate::dataset::{ColumnsRef, ProductTimeline, RatingEntry, TimelineView};
-use crate::{ProductId, RatingValue, Timestamp};
+use crate::dataset::{RatingEntry, TimelineView};
+use crate::{ProductId, Timestamp};
 use std::collections::BTreeMap;
 
 /// How many consecutive product ids share one shard.
@@ -41,53 +33,6 @@ const SHARD_SPAN: u16 = 4;
 /// Returns the shard key owning `product`.
 const fn shard_key(product: ProductId) -> u16 {
     product.value() / SHARD_SPAN
-}
-
-/// Returns `true` when `RRS_STORE=row` forces the row-oracle engine.
-///
-/// Mirrors the `RRS_ONLINE` switch: the environment picks the engine at
-/// dataset construction, so a whole run (and its report tree) can be
-/// byte-diffed against the columnar default without recompiling.
-#[must_use]
-pub(crate) fn row_store_forced() -> bool {
-    matches!(std::env::var("RRS_STORE").as_deref(), Ok("row"))
-}
-
-/// The narrow engine trait (`port`) `RatingDataset` drives its storage
-/// through.
-///
-/// Implementations must keep each product's entries sorted by
-/// `(time, id)` and must yield products in ascending [`ProductId`]
-/// order from [`timelines`](RatingStore::timelines) — the binary-search
-/// contract of [`DatasetView::product`](crate::DatasetView::product)
-/// rests on it.
-pub trait RatingStore {
-    /// Inserts one entry under its rating's product.
-    fn insert_entry(&mut self, entry: RatingEntry);
-
-    /// Inserts a batch of entries; engines may parallelize internally
-    /// but must produce the same state as repeated
-    /// [`insert_entry`](RatingStore::insert_entry) calls in order.
-    fn bulk_insert(&mut self, entries: Vec<RatingEntry>) {
-        for entry in entries {
-            self.insert_entry(entry);
-        }
-    }
-
-    /// Returns the borrowed timeline of `product`, if it has ratings.
-    fn timeline(&self, product: ProductId) -> Option<TimelineView<'_>>;
-
-    /// Returns every `(product, timeline)` pair in ascending product
-    /// order.
-    fn timelines(&self) -> Vec<(ProductId, TimelineView<'_>)>;
-
-    /// Returns the total number of stored ratings.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the store holds no ratings.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// One product's history as five parallel columns.
@@ -131,14 +76,14 @@ impl ColumnTimeline {
     }
 
     fn view(&self, product: ProductId) -> TimelineView<'_> {
-        TimelineView::from_columns(ColumnsRef {
+        TimelineView::from_columns(
             product,
-            ids: &self.ids,
-            times: &self.times,
-            values: &self.values,
-            raters: &self.raters,
-            sources: &self.sources,
-        })
+            &self.ids,
+            &self.times,
+            &self.values,
+            &self.raters,
+            &self.sources,
+        )
     }
 }
 
@@ -171,25 +116,22 @@ impl Shard {
     }
 }
 
-/// The production engine: struct-of-arrays columns, sharded by product.
+/// Struct-of-arrays columns, sharded by product.
 ///
-/// See the module docs for layout and determinism rationale.
+/// Each product's entries are sorted by `(time, id)`, and
+/// [`timelines`](ColumnarStore::timelines) yields products in ascending
+/// [`ProductId`] order — the binary-search contract of
+/// [`DatasetView::product`](crate::DatasetView::product) rests on it. See
+/// the module docs for layout and determinism rationale.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnarStore {
+pub(crate) struct ColumnarStore {
     shards: BTreeMap<u16, Shard>,
     len: usize,
 }
 
 impl ColumnarStore {
-    /// Creates an empty columnar store.
-    #[must_use]
-    pub fn new() -> Self {
-        ColumnarStore::default()
-    }
-}
-
-impl RatingStore for ColumnarStore {
-    fn insert_entry(&mut self, entry: RatingEntry) {
+    /// Inserts one entry under its rating's product.
+    pub(crate) fn insert_entry(&mut self, entry: RatingEntry) {
         let product = entry.rating().product();
         self.shards
             .entry(shard_key(product))
@@ -199,11 +141,14 @@ impl RatingStore for ColumnarStore {
         self.len += 1;
     }
 
+    /// Inserts a batch with the same result as repeated
+    /// [`insert_entry`](ColumnarStore::insert_entry) calls in order.
+    ///
     /// Buckets the batch per shard, then runs the per-shard inserts
     /// through [`crate::par::par_map_owned`]. Shards are disjoint and
     /// each bucket preserves arrival order, so the result is identical
     /// at any thread count.
-    fn bulk_insert(&mut self, entries: Vec<RatingEntry>) {
+    pub(crate) fn bulk_insert(&mut self, entries: Vec<RatingEntry>) {
         self.len += entries.len();
         let mut buckets: BTreeMap<u16, Vec<RatingEntry>> = BTreeMap::new();
         for entry in entries {
@@ -225,13 +170,16 @@ impl RatingStore for ColumnarStore {
         }
     }
 
-    fn timeline(&self, product: ProductId) -> Option<TimelineView<'_>> {
+    /// Returns the borrowed timeline of `product`, if it has ratings.
+    pub(crate) fn timeline(&self, product: ProductId) -> Option<TimelineView<'_>> {
         let shard = self.shards.get(&shard_key(product))?;
         let index = shard.products.binary_search(&product).ok()?;
         Some(shard.timelines[index].view(product))
     }
 
-    fn timelines(&self) -> Vec<(ProductId, TimelineView<'_>)> {
+    /// Returns every `(product, timeline)` pair in ascending product
+    /// order.
+    pub(crate) fn timelines(&self) -> Vec<(ProductId, TimelineView<'_>)> {
         // BTreeMap iterates shard keys ascending and shard-local product
         // lists are sorted, so the concatenation is globally sorted.
         let mut out = Vec::new();
@@ -243,73 +191,16 @@ impl RatingStore for ColumnarStore {
         out
     }
 
-    fn len(&self) -> usize {
+    /// Returns the total number of stored ratings.
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
-}
-
-/// The original row-oriented engine: one `Vec<RatingEntry>` per product
-/// behind a `BTreeMap`. Kept as the oracle the columnar engine is
-/// byte-diffed against (`RRS_STORE=row`, plus cross-engine property
-/// tests).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RowStore {
-    products: BTreeMap<ProductId, ProductTimeline>,
-    len: usize,
-}
-
-impl RowStore {
-    /// Creates an empty row store.
-    #[must_use]
-    pub fn new() -> Self {
-        RowStore::default()
-    }
-}
-
-impl RatingStore for RowStore {
-    fn insert_entry(&mut self, entry: RatingEntry) {
-        self.products
-            .entry(entry.rating().product())
-            .or_default()
-            .insert(entry);
-        self.len += 1;
-    }
-
-    fn timeline(&self, product: ProductId) -> Option<TimelineView<'_>> {
-        self.products.get(&product).map(ProductTimeline::view)
-    }
-
-    fn timelines(&self) -> Vec<(ProductId, TimelineView<'_>)> {
-        self.products
-            .iter()
-            .map(|(pid, tl)| (*pid, tl.view()))
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Reassembles the `i`-th entry of a column set. Values were validated
-/// on the way in, so the clamping constructor is an identity here.
-pub(crate) fn assemble_entry(cols: &ColumnsRef<'_>, index: usize) -> RatingEntry {
-    RatingEntry::assemble(
-        cols.ids[index],
-        crate::Rating::new(
-            cols.raters[index],
-            cols.product,
-            cols.times[index],
-            RatingValue::new_clamped(cols.values[index]),
-        ),
-        cols.sources[index],
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RaterId, Rating, RatingDataset, RatingSource};
+    use crate::{RaterId, Rating, RatingSource, RatingValue};
 
     fn entry(id: u64, rater: u32, product: u16, day: f64, value: f64) -> RatingEntry {
         RatingEntry::assemble(
@@ -332,7 +223,7 @@ mod tests {
 
     #[test]
     fn columnar_insert_orders_by_time_then_id() {
-        let mut store = ColumnarStore::new();
+        let mut store = ColumnarStore::default();
         store.insert_entry(entry(0, 1, 0, 5.0, 4.0));
         store.insert_entry(entry(1, 2, 0, 1.0, 3.0));
         store.insert_entry(entry(2, 3, 0, 5.0, 2.0));
@@ -358,11 +249,11 @@ mod tests {
                 )
             })
             .collect();
-        let mut serial = ColumnarStore::new();
+        let mut serial = ColumnarStore::default();
         for e in &batch {
             serial.insert_entry(*e);
         }
-        let mut bulk = ColumnarStore::new();
+        let mut bulk = ColumnarStore::default();
         bulk.bulk_insert(batch);
         assert_eq!(serial, bulk);
     }
@@ -373,44 +264,15 @@ mod tests {
             .map(|i| entry(i, i as u32, (i % 29) as u16, (i as f64 * 3.7) % 60.0, 4.0))
             .collect();
         let one = crate::par::with_threads(1, || {
-            let mut s = ColumnarStore::new();
+            let mut s = ColumnarStore::default();
             s.bulk_insert(batch.clone());
             s
         });
         let eight = crate::par::with_threads(8, || {
-            let mut s = ColumnarStore::new();
+            let mut s = ColumnarStore::default();
             s.bulk_insert(batch.clone());
             s
         });
         assert_eq!(one, eight);
-    }
-
-    #[test]
-    fn row_and_columnar_agree_on_views() {
-        let batch: Vec<RatingEntry> = (0..120)
-            .map(|i| entry(i, i as u32, (i % 7) as u16, (i as f64 * 11.0) % 45.0, 2.5))
-            .collect();
-        let mut row = RowStore::new();
-        let mut col = ColumnarStore::new();
-        for e in batch {
-            row.insert_entry(e);
-            col.insert_entry(e);
-        }
-        assert_eq!(row.len(), col.len());
-        let row_tls = row.timelines();
-        let col_tls = col.timelines();
-        assert_eq!(row_tls.len(), col_tls.len());
-        for ((rp, rtl), (cp, ctl)) in row_tls.iter().zip(&col_tls) {
-            assert_eq!(rp, cp);
-            assert_eq!(rtl, ctl);
-        }
-    }
-
-    #[test]
-    fn env_switch_is_honored_by_dataset_constructors() {
-        // `RatingDataset::columnar`/`row_oracle` pin the engine
-        // regardless of the environment; `new()` consults `RRS_STORE`.
-        assert!(!RatingDataset::columnar().is_row_backed());
-        assert!(RatingDataset::row_oracle().is_row_backed());
     }
 }

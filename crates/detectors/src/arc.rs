@@ -339,13 +339,12 @@ pub(crate) fn judge_counts(
 /// negligible for streams whose fair mean is stable, and the stream-level
 /// mean is far more robust when an attack is in progress).
 #[must_use]
-pub fn detect<'a>(
-    timeline: impl Into<TimelineView<'a>>,
+pub fn detect(
+    timeline: TimelineView<'_>,
     horizon: TimeWindow,
     variant: ArcVariant,
     config: &ArcConfig,
 ) -> ArcOutcome {
-    let timeline = timeline.into();
     let m = robust_level(timeline);
     let counts = match variant {
         ArcVariant::All => timeline.daily_counts(horizon),
@@ -369,8 +368,8 @@ pub fn detect<'a>(
 /// would shift the band thresholds in the attacker's favor; the median
 /// holds its level while unfair ratings are a minority.
 #[must_use]
-pub fn value_thresholds<'a>(timeline: impl Into<TimelineView<'a>>) -> (f64, f64) {
-    let m = robust_level(timeline.into());
+pub fn value_thresholds(timeline: TimelineView<'_>) -> (f64, f64) {
+    let m = robust_level(timeline);
     (0.5 * m, 0.5 * m + 0.5)
 }
 

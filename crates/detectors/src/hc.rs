@@ -191,8 +191,7 @@ pub(crate) fn suspicious_runs(
 
 /// Runs the HC detector over one product's timeline.
 #[must_use]
-pub fn detect<'a>(timeline: impl Into<TimelineView<'a>>, config: &HcConfig) -> HcOutcome {
-    let timeline = timeline.into();
+pub fn detect(timeline: TimelineView<'_>, config: &HcConfig) -> HcOutcome {
     let n = timeline.len();
     let w = config.window_ratings;
     if n < w || w == 0 {

@@ -197,22 +197,20 @@ impl JointDetector {
         &self.config
     }
 
-    /// Runs joint detection over one product (accepts `&ProductTimeline`
-    /// or a borrowed [`TimelineView`]).
+    /// Runs joint detection over one product.
     ///
     /// `horizon` bounds the daily-count axis for the arrival-rate
     /// detectors; `trust` supplies current rater trust (use `|_| 0.5`
     /// before any trust has been established).
-    pub fn detect_product<'a, F>(
+    pub fn detect_product<F>(
         &self,
-        timeline: impl Into<TimelineView<'a>>,
+        timeline: TimelineView<'_>,
         horizon: TimeWindow,
         trust: F,
     ) -> DetectionResult
     where
         F: Fn(RaterId) -> f64,
     {
-        let timeline = timeline.into();
         let trust = mc::trust_column(timeline, trust);
         let enabled = self.config.enabled;
         let mc_out = if enabled.mc {
@@ -527,13 +525,6 @@ mod tests {
     /// 90 days of fair ratings at ~4/day, mean 4.0.
     fn fair_dataset(seed: u64) -> RatingDataset {
         let mut d = RatingDataset::new();
-        fill_fair(&mut d, seed);
-        d
-    }
-
-    /// Same fair stream appended to any starting dataset, so a scenario
-    /// can be materialized identically on both storage engines.
-    fn fill_fair(d: &mut RatingDataset, seed: u64) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut rater = 0u32;
         for day in 0..90 {
@@ -551,6 +542,7 @@ mod tests {
                 rater += 1;
             }
         }
+        d
     }
 
     fn add_downgrade_burst(
@@ -718,38 +710,27 @@ mod tests {
 
     rrs_core::props! {
         #[test]
-        fn detection_results_are_engine_invariant(
+        fn detection_results_are_thread_count_invariant(
             seed in 0u64..32,
             burst_days in 0usize..12,
             burst_per_day in 3usize..7,
             burst_value in 0.0f64..2.0,
         ) {
-            // The row store is the oracle: the columnar engine must
-            // reproduce its DetectionResult bit for bit, serially and
-            // under the full worker pool.
-            let mut col = RatingDataset::columnar();
-            let mut row = RatingDataset::row_oracle();
-            for d in [&mut col, &mut row] {
-                fill_fair(d, seed);
-                if burst_days > 0 {
-                    add_downgrade_burst(d, 40.0, burst_days, burst_per_day, burst_value);
-                }
+            // Detection must reproduce its DetectionResult bit for bit
+            // serially and under the full worker pool.
+            let mut d = fair_dataset(seed);
+            if burst_days > 0 {
+                add_downgrade_burst(&mut d, 40.0, burst_days, burst_per_day, burst_value);
             }
             let det = JointDetector::default();
             let trust = |r: RaterId| if r.value() >= 50_000 { 0.2 } else { 0.7 };
-            let (row_marks, row_results) =
-                rrs_core::par::with_threads(1, || det.detect_all(&row, horizon(), trust));
-            let (col1_marks, col1_results) =
-                rrs_core::par::with_threads(1, || det.detect_all(&col, horizon(), trust));
-            let (col8_marks, col8_results) =
-                rrs_core::par::with_threads(8, || det.detect_all(&col, horizon(), trust));
+            let (serial_marks, serial_results) =
+                rrs_core::par::with_threads(1, || det.detect_all(&d, horizon(), trust));
+            let (wide_marks, wide_results) =
+                rrs_core::par::with_threads(8, || det.detect_all(&d, horizon(), trust));
             rrs_core::prop_assert!(
-                row_marks == col1_marks && row_results == col1_results,
-                "columnar path diverged from the row oracle at 1 thread"
-            );
-            rrs_core::prop_assert!(
-                col1_marks == col8_marks && col1_results == col8_results,
-                "columnar path diverged between 1 and 8 threads"
+                serial_marks == wide_marks && serial_results == wide_results,
+                "detection diverged between 1 and 8 threads"
             );
         }
     }

@@ -151,21 +151,15 @@ pub(crate) fn indicator_point_with_bounds(
     })
 }
 
-/// Runs the MC detector over one product's timeline (accepts
-/// `&ProductTimeline` or a borrowed [`TimelineView`]).
+/// Runs the MC detector over one product's timeline.
 ///
 /// `trust` supplies the current trust value of each rater (use
 /// `|_| 0.5` when no trust information exists yet).
 #[must_use]
-pub fn detect<'a, F>(
-    timeline: impl Into<TimelineView<'a>>,
-    config: &McConfig,
-    trust: F,
-) -> McOutcome
+pub fn detect<F>(timeline: TimelineView<'_>, config: &McConfig, trust: F) -> McOutcome
 where
     F: Fn(RaterId) -> f64,
 {
-    let timeline = timeline.into();
     let trust = trust_column(timeline, trust);
     detect_with_trust(timeline, config, &trust)
 }
@@ -320,7 +314,7 @@ mod tests {
     use super::*;
     use rrs_core::rng::RrsRng;
     use rrs_core::rng::Xoshiro256pp;
-    use rrs_core::{ProductId, ProductTimeline, Rating, RatingDataset, RatingSource, RatingValue};
+    use rrs_core::{ProductId, Rating, RatingDataset, RatingSource, RatingValue};
 
     /// Fair stream: `per_day` ratings/day for `days` days at mean 4.0 ± noise.
     fn fair_timeline(days: usize, per_day: usize, seed: u64) -> RatingDataset {
@@ -379,12 +373,14 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_default() {
-        let d = RatingDataset::new();
-        let tl = ProductTimeline::default();
-        let out = detect(&tl, &McConfig::default(), |_| 0.5);
+        let d = fair_timeline(1, 1, 1);
+        let empty = timeline(&d).in_window(TimeWindow::ordered(
+            Timestamp::new(5.0).unwrap(),
+            Timestamp::new(6.0).unwrap(),
+        ));
+        let out = detect(empty, &McConfig::default(), |_| 0.5);
         assert!(out.curve.is_empty());
         assert!(!out.is_suspicious());
-        drop(d);
     }
 
     #[test]

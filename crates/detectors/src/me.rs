@@ -109,8 +109,7 @@ pub(crate) fn suspicious_runs(
 
 /// Runs the ME detector over one product's timeline.
 #[must_use]
-pub fn detect<'a>(timeline: impl Into<TimelineView<'a>>, config: &MeConfig) -> MeOutcome {
-    let timeline = timeline.into();
+pub fn detect(timeline: TimelineView<'_>, config: &MeConfig) -> MeOutcome {
     let n = timeline.len();
     let w = config.window_ratings;
     if n < w || w == 0 || config.order == 0 {

@@ -183,168 +183,11 @@ pub fn fit_ar(x: &[f64], order: usize) -> Result<ArModel, ArError> {
     })
 }
 
-/// Incremental AR residual state: absorbs a stream one sample at a time
-/// in O(p²) and can produce the covariance-method fit of the whole stream
-/// at any point, without retaining it.
-///
-/// The accumulator keeps the raw lagged moments
-/// `S(j,k) = Σ_{t=p}^{n−1} x[t−j]·x[t−k]` and `U(j) = Σ_{t=p}^{n−1} x[t−j]`
-/// plus the plain first/second moments of the stream; at fit time the
-/// mean-removed normal-equation entries are recovered by expansion:
-/// `c(j,k) = S(j,k) − μ·(U(j)+U(k)) + μ²·(n−p)`.
-///
-/// # Agreement with [`fit_ar`]
-///
-/// Bounded-error, not bitwise: [`fit_ar`] subtracts the mean *before*
-/// forming products (numerically stable), while the expansion above
-/// cancels large raw moments against each other, and the variance comes
-/// from raw moments (`E[x²] − E[x]²`, clamped at 0) instead of the
-/// two-pass formula. For data with the bounded dynamic range of ratings
-/// the fits agree to ~1e-6 relative; the
-/// `ar_accumulator_agrees_with_fit_ar` property test locks a 1e-4
-/// relative bound on `mse` and `normalized_error`. Streams with
-/// `|mean| ≫ spread` lose precision to cancellation — batch-fit those.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArAccumulator {
-    order: usize,
-    /// Samples absorbed so far.
-    n: usize,
-    /// `(p+1)²` matrix of raw lagged products, `s[j·(p+1)+k] = S(j,k)`.
-    s: Vec<f64>,
-    /// Raw lagged sums `U(j)`, `j = 0..=p`.
-    u: Vec<f64>,
-    /// `recent[j−1] = x[n−j]`: the last `p` samples, most recent first.
-    recent: Vec<f64>,
-    sum: f64,
-    sum_sq: f64,
-}
-
-impl ArAccumulator {
-    /// Creates an empty accumulator for AR models of order `order`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order == 0` (mirrors [`ArError::ZeroOrder`], but as a
-    /// constructor contract: an accumulator's order is fixed for life).
-    #[must_use]
-    pub fn new(order: usize) -> Self {
-        assert!(order > 0, "model order must be at least 1");
-        ArAccumulator {
-            order,
-            n: 0,
-            s: vec![0.0; (order + 1) * (order + 1)],
-            u: vec![0.0; order + 1],
-            recent: Vec::with_capacity(order),
-            sum: 0.0,
-            sum_sq: 0.0,
-        }
-    }
-
-    /// Absorbs one sample in O(order²).
-    pub fn push(&mut self, x: f64) {
-        let p = self.order;
-        if self.n >= p {
-            // The new sample closes prediction term t = n, whose lag-j
-            // regressor is x[t−j]: x itself at lag 0, then `recent`.
-            let lag = |j: usize| if j == 0 { x } else { self.recent[j - 1] };
-            for j in 0..=p {
-                let lj = lag(j);
-                self.u[j] += lj;
-                for k in j..=p {
-                    let prod = lj * lag(k);
-                    self.s[j * (p + 1) + k] += prod;
-                    if k != j {
-                        self.s[k * (p + 1) + j] += prod;
-                    }
-                }
-            }
-        }
-        self.recent.insert(0, x);
-        self.recent.truncate(p);
-        self.n += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
-    }
-
-    /// Returns the number of samples absorbed.
-    #[must_use]
-    pub const fn count(&self) -> usize {
-        self.n
-    }
-
-    /// Returns the fixed model order.
-    #[must_use]
-    pub const fn order(&self) -> usize {
-        self.order
-    }
-
-    /// Fits the AR model of the whole absorbed stream, mirroring
-    /// [`fit_ar`] (same mean removal, constant-window shortcut, ridge
-    /// load, and error normalization) up to the documented rounding
-    /// differences.
-    ///
-    /// # Errors
-    ///
-    /// * [`ArError::TooShort`] if fewer than `2·order + 2` samples have
-    ///   been absorbed.
-    /// * [`ArError::Singular`] if the normal equations cannot be solved.
-    pub fn fit(&self) -> Result<ArModel, ArError> {
-        let p = self.order;
-        let needed = 2 * p + 2;
-        if self.n < needed {
-            return Err(ArError::TooShort {
-                needed,
-                got: self.n,
-            });
-        }
-        let nf = self.n as f64;
-        let mean = self.sum / nf;
-        let var = (self.sum_sq / nf - mean * mean).max(0.0);
-        if var < 1e-12 {
-            return Ok(ArModel {
-                coeffs: vec![0.0; p],
-                mse: 0.0,
-                normalized_error: 0.0,
-            });
-        }
-        let terms = (self.n - p) as f64;
-        let c = |j: usize, k: usize| -> f64 {
-            self.s[j * (p + 1) + k] - mean * (self.u[j] + self.u[k]) + mean * mean * terms
-        };
-        let ridge = 1e-9 * c(0, 0).max(f64::MIN_POSITIVE);
-        let mut rows = Vec::with_capacity(p);
-        for j in 1..=p {
-            let mut row = Vec::with_capacity(p);
-            for k in 1..=p {
-                row.push(c(j, k) + if j == k { ridge } else { 0.0 });
-            }
-            rows.push(row);
-        }
-        let rhs: Vec<f64> = (1..=p).map(|j| c(j, 0)).collect();
-        let matrix = Matrix::from_rows(&rows);
-        let coeffs = matrix.solve(&rhs).map_err(|_| ArError::Singular)?;
-        let residual: f64 = c(0, 0)
-            - coeffs
-                .iter()
-                .enumerate()
-                .map(|(i, w)| w * c(0, i + 1))
-                .sum::<f64>();
-        let mse = (residual / terms).max(0.0);
-        Ok(ArModel {
-            normalized_error: (mse / var).max(0.0),
-            coeffs,
-            mse,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrs_core::check::vec_of;
     use rrs_core::rng::RrsRng;
     use rrs_core::rng::Xoshiro256pp;
-    use rrs_core::{prop_assert, prop_assert_eq, props};
 
     fn white_noise(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -429,92 +272,5 @@ mod tests {
         let a = fit_ar(&x, 3).unwrap().normalized_error();
         let b = fit_ar(&shifted, 3).unwrap().normalized_error();
         assert!((a - b).abs() < 1e-6);
-    }
-
-    #[test]
-    fn accumulator_zero_order_panics() {
-        let r = std::panic::catch_unwind(|| ArAccumulator::new(0));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn accumulator_too_short_then_fits() {
-        let mut acc = ArAccumulator::new(4);
-        for (i, &x) in white_noise(40, 9).iter().enumerate() {
-            if i < 10 {
-                assert!(matches!(
-                    acc.fit(),
-                    Err(ArError::TooShort { needed: 10, .. })
-                ));
-            }
-            acc.push(x);
-        }
-        assert_eq!(acc.count(), 40);
-        assert!(acc.fit().is_ok());
-    }
-
-    #[test]
-    fn accumulator_constant_stream_is_perfectly_predictable() {
-        let mut acc = ArAccumulator::new(4);
-        for _ in 0..40 {
-            acc.push(3.0);
-        }
-        let m = acc.fit().unwrap();
-        assert_eq!(m.normalized_error(), 0.0);
-        assert_eq!(m.mse(), 0.0);
-    }
-
-    fn assert_models_close(a: &ArModel, b: &ArModel) {
-        let close = |x: f64, y: f64| (x - y).abs() < 1e-6 + 1e-4 * y.abs();
-        assert!(
-            close(a.mse(), b.mse()),
-            "mse {} vs batch {}",
-            a.mse(),
-            b.mse()
-        );
-        assert!(
-            close(a.normalized_error(), b.normalized_error()),
-            "normalized_error {} vs batch {}",
-            a.normalized_error(),
-            b.normalized_error()
-        );
-    }
-
-    #[test]
-    fn accumulator_matches_fit_ar_on_noise_and_structure() {
-        for seed in [1u64, 5, 21] {
-            let x = white_noise(120, seed);
-            let mut acc = ArAccumulator::new(4);
-            for &v in &x {
-                acc.push(v);
-            }
-            assert_models_close(&acc.fit().unwrap(), &fit_ar(&x, 4).unwrap());
-        }
-        let sin: Vec<f64> = (0..100).map(|i| 4.0 + (f64::from(i) * 0.3).sin()).collect();
-        let mut acc = ArAccumulator::new(4);
-        for &v in &sin {
-            acc.push(v);
-        }
-        assert_models_close(&acc.fit().unwrap(), &fit_ar(&sin, 4).unwrap());
-    }
-
-    props! {
-        #[test]
-        fn ar_accumulator_agrees_with_fit_ar(xs in vec_of(0.0f64..5.0, 4..120)) {
-            let order = 2 + xs.len() % 3; // orders 2..=4
-            let mut acc = ArAccumulator::new(order);
-            for &x in &xs { acc.push(x); }
-            match (acc.fit(), fit_ar(&xs, order)) {
-                (Ok(a), Ok(b)) => {
-                    let close = |x: f64, y: f64| (x - y).abs() < 1e-6 + 1e-4 * y.abs();
-                    prop_assert!(close(a.mse(), b.mse()),
-                        "mse {} vs batch {}", a.mse(), b.mse());
-                    prop_assert!(close(a.normalized_error(), b.normalized_error()),
-                        "err {} vs batch {}", a.normalized_error(), b.normalized_error());
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "Ok/Err mismatch: {a:?} vs {b:?}"),
-            }
-        }
     }
 }

@@ -17,10 +17,8 @@
 //! * random sampling primitives (Gaussian via Box–Muller, Poisson,
 //!   truncated normal) used by the fair-data and attack generators
 //!   ([`sampling`]),
-//! * alternative change-detector families for comparison — Page CUSUM
-//!   ([`cusum`]) and the EWMA control chart ([`ewma`]) — and whiteness
-//!   diagnostics (autocorrelation, Ljung–Box) that check the paper's
-//!   honest-ratings-are-white-noise premise ([`autocorr`]).
+//! * whiteness diagnostics (autocorrelation, Ljung–Box) that check the
+//!   paper's honest-ratings-are-white-noise premise ([`autocorr`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,19 +27,14 @@ pub mod ar;
 pub mod autocorr;
 pub mod cluster;
 pub mod curve;
-pub mod cusum;
-pub mod ewma;
 pub mod glrt;
 pub mod linalg;
 pub mod sampling;
 pub mod special;
 pub mod stats;
 
-pub use ar::{fit_ar, ArAccumulator, ArModel};
+pub use ar::{fit_ar, ArModel};
 pub use cluster::{single_linkage, single_linkage_1d};
 pub use curve::{Curve, CurvePoint, Peak, UShape};
-pub use cusum::{Cusum, CusumAlarm};
-pub use ewma::{Ewma, EwmaAlarm};
 pub use glrt::{arrival_rate_glrt, mean_change_glrt, mean_change_indicator};
 pub use special::{ln_gamma, reg_inc_beta, reg_inc_beta_inv};
-pub use stats::{DecayedHistogram, Welford, WindowedWelford};

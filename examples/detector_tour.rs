@@ -103,26 +103,6 @@ fn main() {
             .collect(),
     );
 
-    // Bonus: the CUSUM alternative — a detector family the paper does
-    // not use, shown here because it integrates evidence over unbounded
-    // time instead of a sliding window.
-    let values: Vec<f64> = timeline.values();
-    let reference = rrs::signal::stats::median(&values).unwrap_or(4.0);
-    let alarms = rrs::signal::cusum::Cusum::scan(reference, 0.4, 8.0, &values);
-    println!("--- CUSUM (windowless alternative) ---");
-    for alarm in alarms.iter().take(5) {
-        println!(
-            "alarm at rating #{} (day {:.1}), direction {}",
-            alarm.index,
-            timeline.time_at(alarm.index).as_days(),
-            if alarm.direction > 0 { "up" } else { "down" }
-        );
-    }
-    if alarms.is_empty() {
-        println!("no alarms");
-    }
-    println!();
-
     let joint = JointDetector::default();
     let result = joint.detect_product(timeline, horizon, |_| 0.5);
     println!("--- joint verdict (Fig. 1 two-path integration) ---");

@@ -57,11 +57,11 @@ for key in product detectors paths suspicious trust; do
 done
 grep -q '^scheme\.epoch;' "$TMP/trace.folded"
 
-# Telemetry smoke-runs: the metrics exposition must carry the watchdog
+# Telemetry smoke-runs: the metrics exposition must carry the scheme
 # and detector-health series, and the flight recorder must dump at
 # least one firing for a real attack scenario.
 target/release/rrs metrics downgrade-burst --seed 7 --out "$TMP/metrics.prom"
-grep -q '^scheme_watchdog_divergences 0$' "$TMP/metrics.prom"
+grep -q '^scheme_suspicious_set_size ' "$TMP/metrics.prom"
 grep -q '^detect_fired_mc ' "$TMP/metrics.prom"
 target/release/rrs dump downgrade-burst --seed 7 --out "$TMP/dump.jsonl"
 test -s "$TMP/dump.jsonl"
@@ -77,21 +77,6 @@ RRS_TRACE=1 RRS_THREADS=1 target/release/experiments --scale small --seed 42 --o
 RRS_TRACE=1 RRS_THREADS=8 target/release/experiments --scale small --seed 42 --out "$TMP/threads8"
 test -s "$TMP/threads1/metrics.json"
 diff -r "$TMP/threads1" "$TMP/threads8"
-
-# Online/batch oracle: detection defaults to the incremental online path,
-# so the runs above exercised it; re-running with RRS_ONLINE=0 forces the
-# batch oracle, which must emit byte-identical result trees. metrics.json
-# is excluded: the online path legitimately reports extra health series
-# (signal.online.*) the batch oracle never touches.
-RRS_ONLINE=0 RRS_THREADS=1 target/release/experiments --scale small --seed 42 --out "$TMP/batch"
-diff -r --exclude=metrics.json "$TMP/threads1" "$TMP/batch"
-
-# Storage-engine oracle: datasets default to the sharded columnar store;
-# RRS_STORE=row re-runs the suite on the row-oriented oracle store, which
-# must emit byte-identical result trees (RRS_TRACE=1 matches the
-# threads1 run, so metrics.json is compared too).
-RRS_STORE=row RRS_TRACE=1 RRS_THREADS=1 target/release/experiments --scale small --seed 42 --out "$TMP/rowstore"
-diff -r "$TMP/threads1" "$TMP/rowstore"
 
 # Serving smoke: SIGKILL a live server after acknowledged submissions,
 # restart it from the WAL, finish the workload, and require the

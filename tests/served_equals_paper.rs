@@ -5,10 +5,13 @@
 //! scoring period per batch, each batch followed by an epoch — what a
 //! client does with `POST /ratings` and `POST /epochs`. The same ratings,
 //! in the same insertion order, go through `PScheme::evaluate` with
-//! cumulative scoring and the same period. The scheme runs its batch
-//! detection, which re-derives every curve and resolves every rater's
-//! trust on each epoch, so it shares no incremental state and no trust
-//! column with the engine. Then:
+//! cumulative scoring and the same period. The scheme runs its own
+//! online detection state and trust manager, so it shares no state with
+//! the engine. That the scheme's online detection equals batch
+//! re-detection over copied prefixes is proven separately, by
+//! `prefix_view_path_equals_restricted_copy_oracle` in
+//! `crates/aggregation/src/p_scheme.rs` and by
+//! `crates/aggregation/tests/declared_trust.rs`. Then:
 //!
 //! * after every epoch, each product's served score equals that period's
 //!   paper score bit for bit;
@@ -105,8 +108,6 @@ fn check(seed: u64, strategy: usize, period_days: f64, trust_discount: Option<f6
     assert_eq!(ctx.periods().len(), periods);
     let paper = PScheme::with_config(PSchemeConfig {
         trust_discount,
-        online_detection: Some(false),
-        watchdog_every: Some(0),
         ..PSchemeConfig::paper()
     })
     .evaluate(&dataset, &ctx);
