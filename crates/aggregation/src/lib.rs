@@ -8,6 +8,8 @@
 //!   `rrs-detectors`), a beta-trust manager updated monthly (Procedure 1,
 //!   crate `rrs-trust`), a rating filter, and trust-weighted aggregation
 //!   (Eq. 7).
+//!   [`PSchemeState`] is its epoch stepper, which the serving engine
+//!   steps too.
 //! * [`SaScheme`] — simple averaging with no defense.
 //! * [`BfScheme`] — the Whitby–Jøsang beta-function filter, the
 //!   representative majority-rule baseline.
@@ -25,6 +27,6 @@ pub mod sa;
 pub mod weighted;
 
 pub use bf::{BfConfig, BfScheme};
-pub use p_scheme::{PScheme, PSchemeConfig};
+pub use p_scheme::{PScheme, PSchemeConfig, PSchemeState};
 pub use sa::SaScheme;
 pub use weighted::weighted_aggregate;

@@ -14,12 +14,15 @@
 //!    epoch's ratings.
 //! 4. **Aggregate** — Eq. 7 combines the survivors, weighting each rating
 //!    by `max(T − 0.5, 0)`.
+//!
+//! [`PSchemeState`] runs steps 1–2 per period and 3–4 per product, for
+//! [`PScheme::evaluate`] and for the serving engine (`rrs-serve`) alike.
 
 use crate::filter::filter_ratings;
 use crate::weighted::weighted_aggregate;
 use rrs_core::{
-    AggregationScheme, DatasetView, EvalContext, ProductId, RaterId, RatingDataset, RatingId,
-    SchemeOutcome, TimeWindow,
+    AggregationScheme, DatasetView, EvalContext, ProductId, RaterId, RatingDataset, RatingEntry,
+    RatingId, SchemeOutcome, TimeWindow, TimelineView, Timestamp,
 };
 use rrs_detectors::{Band, DetectionResult, DetectorConfig, JointDetector, OnlineState};
 use rrs_trust::{TrustManager, TrustUpdate};
@@ -97,11 +100,9 @@ impl AggregationScheme for PScheme {
     }
 
     fn evaluate(&self, dataset: &RatingDataset, ctx: &EvalContext) -> SchemeOutcome {
-        let detector = JointDetector::new(self.config.detectors);
-        let mut online_state = OnlineState::new();
-        let mut trust = TrustManager::new();
+        let mut state = PSchemeState::new(self.config);
         let mut out = SchemeOutcome::new();
-        let mut scores: BTreeMap<rrs_core::ProductId, Vec<Option<f64>>> = BTreeMap::new();
+        let mut scores: BTreeMap<ProductId, Vec<Option<f64>>> = BTreeMap::new();
 
         for period in ctx.periods() {
             // The epoch span is the root of this epoch's span tree: the
@@ -109,108 +110,165 @@ impl AggregationScheme for PScheme {
             // so (in serial execution) they record it as their parent
             // and flamegraph exports show the full hierarchy.
             let _epoch_span = rrs_obs::trace::span("scheme.epoch");
-            // Everything seen up to the end of this period, as a borrowed
-            // prefix view: epoch e must not re-clone epochs 0..e (the old
-            // `restricted()` copy made the run O(epochs × ratings) in
-            // allocation alone; the `#[cfg(test)]` oracle below keeps the
-            // copy path as the reference the view is tested against).
-            let prefix_window = TimeWindow::new(ctx.horizon().start(), period.end())
-                .expect("period lies inside the horizon");
-            let prefix = dataset.prefix_view(prefix_window);
-
-            // 1. Detect with the previous epoch's trust. Detection carries
-            // rolling per-product state across epochs, so only the ratings
-            // that arrived this period cost signal work; its output is
-            // identical to batch `detect_all` (oracle-tested in
-            // rrs-detectors and below). It reads the previous epoch's
-            // trust straight from the manager: nothing updates it until
-            // detection has returned.
-            let (marks, per_product) = detector.detect_all_online(
-                &prefix,
-                prefix_window,
-                |r: RaterId| trust.trust_of(r),
-                &mut online_state,
-            );
-            out.mark_suspicious_all(marks.iter().copied());
-
-            // 2. Update trust with this epoch's counts (Procedure 1),
-            // optionally forgetting a fraction of the old evidence first.
-            if let Some(factor) = self.config.trust_discount {
-                trust.discount_all(factor);
-            }
-            let update = trust.update_epoch(&prefix, period, &marks);
-            trust.publish_gauges();
-            // Procedure 1 wrote only the touched records, so the next
-            // detection re-reads only their trust. A discount rewrote
-            // every record: declare nothing and let it resolve them all.
-            if self.config.trust_discount.is_none() {
-                online_state.declare_trust_changes(update.touched.iter().copied());
-            }
-
-            if rrs_obs::enabled() {
-                // Suspicion-set health telemetry, written serially from
-                // the epoch loop so gauge values are thread-count
-                // independent.
-                rrs_obs::metrics::gauge_set(METRIC_SUSPICIOUS_SET, marks.len() as f64);
-                rrs_obs::metrics::observe_quantile(
-                    METRIC_EPOCH_SUSPICIOUS,
-                    update.suspicious as f64,
-                );
-            }
-            if rrs_obs::tracing() {
-                record_decisions(
-                    &prefix,
-                    period,
-                    &per_product,
-                    &marks,
-                    &update,
-                    &self.config.detectors,
-                );
-            }
-
-            // 3 + 4. Filter and aggregate each product over the scoring
-            // window (all ratings so far under cumulative scoring).
+            state.step(dataset, ctx.horizon().start(), period);
+            out.mark_suspicious_all(state.suspicious().iter().copied());
+            state.trust().publish_gauges();
             for (pid, timeline) in dataset.products() {
                 let slice = timeline.in_window(ctx.scoring_window(period));
-                let entry = scores.entry(pid).or_default();
-                if slice.is_empty() {
-                    entry.push(None);
-                    continue;
-                }
-                let filter_span = rrs_obs::trace::span("aggregate.filter");
-                let kept = filter_ratings(
-                    slice,
-                    &marks,
-                    |r| trust.trust_of(r),
-                    self.config.filter_trust_threshold,
-                );
-                drop(filter_span);
-                let _weighted_span = rrs_obs::trace::span("aggregate.weighted");
-                let pairs: Vec<(f64, f64)> = kept
-                    .iter()
-                    .map(|e| (e.value(), trust.trust_of(e.rater())))
-                    .collect();
-                // If the filter removed everything, fall back to the raw
-                // slice: reporting *some* score mirrors a deployed system,
-                // which never shows "no rating" for a rated product.
-                let score = weighted_aggregate(&pairs).or_else(|| {
-                    let pairs: Vec<(f64, f64)> = slice
-                        .iter()
-                        .map(|e| (e.value(), trust.trust_of(e.rater())))
-                        .collect();
-                    weighted_aggregate(&pairs)
-                });
-                entry.push(score);
+                scores.entry(pid).or_default().push(state.score(slice));
             }
         }
 
         for (pid, s) in scores {
             out.insert_scores(pid, s);
         }
-        for (rater, value) in trust.snapshot() {
-            out.set_trust(rater, value);
+        for (rater, record) in state.trust().records() {
+            out.set_trust(rater, record.trust());
         }
         out
+    }
+}
+
+/// The P-scheme between epochs: the joint detector's rolling state, the
+/// trust records and the last epoch's suspicion set. The accessors and
+/// [`PSchemeState::restore`] take it apart and put it back together.
+#[derive(Debug)]
+pub struct PSchemeState {
+    config: PSchemeConfig,
+    detector: JointDetector,
+    trust: TrustManager,
+    online: OnlineState,
+    marks: BTreeSet<RatingId>,
+}
+
+impl PSchemeState {
+    /// A state before its first epoch: no trust evidence, no detector
+    /// history, nothing marked.
+    #[must_use]
+    pub fn new(config: PSchemeConfig) -> Self {
+        PSchemeState::restore(
+            config,
+            TrustManager::new(),
+            OnlineState::new(),
+            BTreeSet::new(),
+        )
+    }
+
+    /// A state rebuilt from the parts its accessors returned.
+    #[must_use]
+    pub fn restore(
+        config: PSchemeConfig,
+        trust: TrustManager,
+        online: OnlineState,
+        marks: BTreeSet<RatingId>,
+    ) -> Self {
+        PSchemeState {
+            config,
+            detector: JointDetector::new(config.detectors),
+            trust,
+            online,
+            marks,
+        }
+    }
+
+    /// Runs one epoch: online detection over `[origin, period end)` with
+    /// the previous epoch's trust, the optional discount, then Procedure 1
+    /// over `period` with the fresh marks, which become the suspicion set.
+    /// Records the `scheme.*` series when metrics are on and one decision
+    /// record per product when tracing is.
+    pub fn step(
+        &mut self,
+        dataset: &RatingDataset,
+        origin: Timestamp,
+        period: TimeWindow,
+    ) -> TrustUpdate {
+        let prefix_window = TimeWindow::ordered(origin, period.end());
+        let prefix = dataset.prefix_view(prefix_window);
+        // Nothing updates the trust records until detection returns.
+        let trust = &self.trust;
+        let (marks, per_product) = self.detector.detect_all_online(
+            &prefix,
+            prefix_window,
+            |r: RaterId| trust.trust_of(r),
+            &mut self.online,
+        );
+        if let Some(factor) = self.config.trust_discount {
+            self.trust.discount_all(factor);
+        }
+        let update = self.trust.update_epoch(&prefix, period, &marks);
+        // Procedure 1 wrote only the touched records, so the next
+        // detection re-reads only their trust. A discount rewrote every
+        // record: declare nothing and let it resolve them all.
+        if self.config.trust_discount.is_none() {
+            self.online
+                .declare_trust_changes(update.touched.iter().copied());
+        }
+        if rrs_obs::enabled() {
+            // Written serially from the epoch loop, so the values are
+            // thread-count independent.
+            rrs_obs::metrics::gauge_set(METRIC_SUSPICIOUS_SET, marks.len() as f64);
+            rrs_obs::metrics::observe_quantile(METRIC_EPOCH_SUSPICIOUS, update.suspicious as f64);
+        }
+        if rrs_obs::tracing() {
+            record_decisions(
+                &prefix,
+                period,
+                &per_product,
+                &marks,
+                &update,
+                &self.config.detectors,
+            );
+        }
+        self.marks = marks;
+        update
+    }
+
+    /// The filtered Eq. 7 score of one product's scoring window, or
+    /// `None` for an empty one. If the filter removed everything, the raw
+    /// slice is scored: a deployed system never shows "no rating" for a
+    /// rated product.
+    #[must_use]
+    pub fn score(&self, slice: TimelineView<'_>) -> Option<f64> {
+        if slice.is_empty() {
+            return None;
+        }
+        let filter_span = rrs_obs::trace::span("aggregate.filter");
+        let kept = filter_ratings(
+            slice,
+            &self.marks,
+            |r| self.trust.trust_of(r),
+            self.config.filter_trust_threshold,
+        );
+        drop(filter_span);
+        let _weighted_span = rrs_obs::trace::span("aggregate.weighted");
+        self.weigh(kept.into_iter())
+            .or_else(|| self.weigh(slice.iter()))
+    }
+
+    /// Eq. 7 over `entries`, each weighted by its rater's trust.
+    fn weigh(&self, entries: impl Iterator<Item = RatingEntry>) -> Option<f64> {
+        let pairs: Vec<(f64, f64)> = entries
+            .map(|e| (e.value(), self.trust.trust_of(e.rater())))
+            .collect();
+        weighted_aggregate(&pairs)
+    }
+
+    /// The trust records.
+    #[must_use]
+    pub const fn trust(&self) -> &TrustManager {
+        &self.trust
+    }
+
+    /// The detector's rolling state.
+    #[must_use]
+    pub const fn online(&self) -> &OnlineState {
+        &self.online
+    }
+
+    /// The ratings the last step marked.
+    #[must_use]
+    pub const fn suspicious(&self) -> &BTreeSet<RatingId> {
+        &self.marks
     }
 }
 

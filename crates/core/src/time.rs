@@ -51,6 +51,14 @@ impl Timestamp {
         }
     }
 
+    /// Boundary `index` of `period`-day periods from `origin`:
+    /// `origin + index × period`, multiplied out rather than summed, so
+    /// [`TimeWindow::periods`] and the serving engine agree to the bit.
+    #[must_use]
+    pub fn period_boundary(origin: Timestamp, period: Days, index: u64) -> Self {
+        Timestamp::saturating(origin.0 + index as f64 * period.get())
+    }
+
     /// Returns the timestamp as fractional days.
     #[must_use]
     pub const fn as_days(self) -> f64 {
@@ -269,9 +277,10 @@ impl TimeWindow {
 
     /// Splits the window into consecutive periods of `period` days.
     ///
-    /// The final period is truncated at the window end; a zero-length tail
-    /// is not emitted. This is how the MP metric derives its 30-day scoring
-    /// periods from the challenge horizon.
+    /// Period `i` ends at [`Timestamp::period_boundary`]`(start, period,
+    /// i + 1)`. The final period is truncated at the window end; a
+    /// zero-length tail is not emitted. This is how the MP metric derives
+    /// its 30-day scoring periods from the challenge horizon.
     ///
     /// # Panics
     ///
@@ -282,12 +291,8 @@ impl TimeWindow {
         let mut out = Vec::new();
         let mut start = self.start;
         while start < self.end {
-            let raw_end = start.as_days() + period.get();
-            let end = if raw_end > self.end.as_days() {
-                self.end
-            } else {
-                Timestamp(raw_end)
-            };
+            let end =
+                Timestamp::period_boundary(self.start, period, out.len() as u64 + 1).min(self.end);
             out.push(TimeWindow { start, end });
             start = end;
         }
@@ -388,6 +393,13 @@ mod tests {
         assert_eq!(ps[0].start(), ts(0.0));
         assert_eq!(ps[3].end(), ts(95.0));
         assert_eq!(ps[3].length().get(), 5.0);
+        // Boundaries are multiplied out: boundary 6 of 0.1-day periods is
+        // 6 × 0.1 = 0.6000000000000001 (0.1 summed six times is 0.6), and
+        // boundary 60 lands on the window end, leaving no sliver period.
+        let w = TimeWindow::new(ts(0.0), ts(6.0)).unwrap();
+        let ps = w.periods(Days::new(0.1).unwrap());
+        assert_eq!(ps.len(), 60);
+        assert_eq!(ps[6].start().as_days(), 0.6000000000000001);
     }
 
     #[test]
@@ -416,6 +428,10 @@ mod tests {
             prop_assert_eq!(ps[ps.len() - 1].end(), w.end());
             for pair in ps.windows(2) {
                 prop_assert_eq!(pair[0].end(), pair[1].start());
+            }
+            // Boundary i is `start + i × period` exactly, not a running sum.
+            for (i, p) in ps.iter().enumerate() {
+                prop_assert_eq!(p.start().as_days(), start + i as f64 * period);
             }
         }
 

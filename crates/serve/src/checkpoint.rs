@@ -39,8 +39,9 @@ const CHECKPOINT_TMP: &str = "checkpoint.jsonl.tmp";
 /// Format version stamped in the header record.
 pub const CHECKPOINT_VERSION: u64 = 1;
 
-/// A loaded (or about-to-be-written) checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A loaded (or about-to-be-written) checkpoint. The default is the
+/// state before any event.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Completed epochs at checkpoint time.
     pub epochs: u64,

@@ -1,11 +1,12 @@
 //! The serving engine: the P-scheme epoch loop made durable.
 //!
-//! [`Engine`] owns the live rating dataset, the trust manager, the
-//! online detector state, and the current suspicion set, and mirrors
-//! exactly the epoch loop `rrs_aggregation::PScheme::evaluate` runs in
-//! batch: detect with last epoch's trust → update trust (Procedure 1)
-//! → filter and weight scores (Eq. 7). Batch evaluation and this
-//! engine therefore agree bit-for-bit on any shared prefix of events.
+//! [`Engine`] owns the live rating dataset and a
+//! [`PSchemeState`], the epoch stepper `rrs_aggregation::PScheme::evaluate`
+//! runs in batch: each epoch is one `step` (detect with last epoch's
+//! trust → update trust, Procedure 1) and each score read one `score`
+//! (filter → Eq. 7). Epoch `i` covers `[i × period, (i + 1) × period)`,
+//! the boundaries `TimeWindow::periods` computes, so batch evaluation
+//! and this engine agree bit-for-bit on any shared prefix of events.
 //!
 //! Durability is write-ahead: every accepted submission and every
 //! epoch boundary hits the fsynced WAL **before** the in-memory state
@@ -19,10 +20,9 @@
 use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::dto::RatingSubmission;
 use crate::wal::{read_wal, truncate_wal, WalEvent, WalWriter};
-use rrs_aggregation::filter::filter_ratings;
-use rrs_aggregation::weighted_aggregate;
-use rrs_core::{ProductId, RaterId, RatingDataset, RatingId, TimeWindow, Timestamp};
-use rrs_detectors::{DetectorConfig, JointDetector, OnlineState};
+use rrs_aggregation::{PSchemeConfig, PSchemeState};
+use rrs_core::{Days, ProductId, RaterId, RatingDataset, RatingId, TimeWindow, Timestamp};
+use rrs_detectors::{DetectorConfig, OnlineState};
 use rrs_obs::rrs_warn;
 use rrs_trust::{BetaTrust, TrustManager};
 use std::collections::BTreeSet;
@@ -50,6 +50,14 @@ impl EngineConfig {
             detectors: DetectorConfig::paper(),
             filter_trust_threshold: 0.5,
             trust_discount: None,
+        }
+    }
+
+    fn scheme(&self) -> PSchemeConfig {
+        PSchemeConfig {
+            detectors: self.detectors,
+            filter_trust_threshold: self.filter_trust_threshold,
+            trust_discount: self.trust_discount,
         }
     }
 
@@ -130,11 +138,8 @@ pub struct SuspiciousRating {
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    detector: JointDetector,
     dataset: RatingDataset,
-    trust: TrustManager,
-    online: OnlineState,
-    marks: BTreeSet<RatingId>,
+    state: PSchemeState,
     epochs: u64,
     wal: WalWriter,
     dir: PathBuf,
@@ -158,35 +163,20 @@ impl Engine {
             .validate()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         std::fs::create_dir_all(dir)?;
-        let checkpoint = read_checkpoint(dir)?;
-        let (trust, online, epochs, checkpointed_events, raw_marks) = match &checkpoint {
-            Some(c) => {
-                let mut records = Vec::with_capacity(c.trust.len());
-                for &(rater, s_bits, f_bits) in &c.trust {
-                    let (s, f) = (f64::from_bits(s_bits), f64::from_bits(f_bits));
-                    if !(s.is_finite() && f.is_finite() && s >= 0.0 && f >= 0.0) {
-                        return Err(invalid(format!(
-                            "corrupt checkpoint: trust counts for rater {rater} are ({s}, {f})"
-                        )));
-                    }
-                    records.push((RaterId::new(rater), BetaTrust::with_counts(s, f)));
-                }
-                (
-                    TrustManager::from_records(records),
-                    OnlineState::restore(&c.online),
-                    c.epochs,
-                    c.wal_events,
-                    c.marks.iter().copied().collect::<BTreeSet<u64>>(),
-                )
+        // No checkpoint restores like an empty one: nothing is covered.
+        let checkpoint = read_checkpoint(dir)?.unwrap_or_default();
+        let mut records = Vec::with_capacity(checkpoint.trust.len());
+        for &(rater, s_bits, f_bits) in &checkpoint.trust {
+            let (s, f) = (f64::from_bits(s_bits), f64::from_bits(f_bits));
+            if !(s.is_finite() && f.is_finite() && s >= 0.0 && f >= 0.0) {
+                return Err(invalid(format!(
+                    "corrupt checkpoint: trust counts for rater {rater} are ({s}, {f})"
+                )));
             }
-            None => (
-                TrustManager::new(),
-                OnlineState::new(),
-                0,
-                0,
-                BTreeSet::new(),
-            ),
-        };
+            records.push((RaterId::new(rater), BetaTrust::with_counts(s, f)));
+        }
+        let (epochs, checkpointed_events) = (checkpoint.epochs, checkpoint.wal_events);
+        let raw_marks: BTreeSet<u64> = checkpoint.marks.iter().copied().collect();
 
         let replay = read_wal(dir)?;
         if replay.torn_tail {
@@ -205,69 +195,62 @@ impl Engine {
             )));
         }
 
+        // The dataset is never checkpointed: every rating is re-inserted,
+        // and insertion order reproduces the original ids. The covered
+        // prefix's epochs are already in the restored state, so they are
+        // only counted, and every checkpointed mark must name one of the
+        // prefix's ratings.
+        let (covered, suffix) = replay.events.split_at(checkpointed_events as usize);
+        let mut dataset = RatingDataset::new();
+        let mut marks = BTreeSet::new();
+        let mut covered_epochs = 0u64;
+        for event in covered {
+            match event {
+                WalEvent::Rating(submission) => {
+                    let id = dataset.insert(submission.rating(), submission.source);
+                    if raw_marks.contains(&id.value()) {
+                        marks.insert(id);
+                    }
+                }
+                WalEvent::Epoch => covered_epochs += 1,
+            }
+        }
+        if covered_epochs != epochs {
+            return Err(invalid(format!(
+                "checkpoint claims {epochs} epochs but the covered WAL prefix holds {covered_epochs} epoch events"
+            )));
+        }
+        if marks.len() != raw_marks.len() {
+            return Err(invalid(format!(
+                "checkpoint marks {} ratings but only {} exist in the WAL prefix it covers",
+                raw_marks.len(),
+                marks.len()
+            )));
+        }
+
         let mut engine = Engine {
             config,
-            detector: JointDetector::new(config.detectors),
-            dataset: RatingDataset::new(),
-            trust,
-            online,
-            marks: BTreeSet::new(),
+            dataset,
+            state: PSchemeState::restore(
+                config.scheme(),
+                TrustManager::from_records(records),
+                OnlineState::restore(&checkpoint.online),
+                marks,
+            ),
             epochs,
             wal: WalWriter::open(dir, total_events)?,
             dir: dir.to_path_buf(),
         };
-
-        // Rating events are always re-inserted (the dataset is never
-        // checkpointed; insertion order reproduces the original ids).
-        // Epoch events inside the checkpointed prefix are already
-        // reflected in the restored trust/online state and are only
-        // counted; those after it re-run the deterministic epoch.
-        let mut skipped_epochs = 0u64;
-        let mut replayed_epochs = 0u64;
-        for (index, event) in replay.events.iter().enumerate() {
+        // The events after the checkpoint re-run as they ran live.
+        for event in suffix {
             match event {
                 WalEvent::Rating(submission) => {
                     engine
                         .dataset
                         .insert(submission.rating(), submission.source);
                 }
-                WalEvent::Epoch => {
-                    if (index as u64) < checkpointed_events {
-                        skipped_epochs += 1;
-                    } else {
-                        engine.apply_epoch();
-                        replayed_epochs += 1;
-                    }
-                }
+                WalEvent::Epoch => engine.apply_epoch(),
             }
-        }
-        if skipped_epochs != epochs {
-            return Err(invalid(format!(
-                "checkpoint claims {epochs} epochs but the covered WAL prefix holds {skipped_epochs} epoch events"
-            )));
-        }
-
-        if replayed_epochs == 0 {
-            // No epoch ran after the checkpoint, so the suspicion set is
-            // the checkpointed one; resolve its raw id values against
-            // the rebuilt dataset (ids are insertion-ordered, so every
-            // checkpointed mark must resolve — a miss is corruption).
-            let mut resolved = BTreeSet::new();
-            for (_, timeline) in engine.dataset.products() {
-                for entry in timeline.iter() {
-                    if raw_marks.contains(&entry.id().value()) {
-                        resolved.insert(entry.id());
-                    }
-                }
-            }
-            if resolved.len() != raw_marks.len() {
-                return Err(invalid(format!(
-                    "checkpoint marks {} ratings but only {} exist in the replayed WAL",
-                    raw_marks.len(),
-                    resolved.len()
-                )));
-            }
-            engine.marks = resolved;
         }
         Ok(engine)
     }
@@ -331,41 +314,18 @@ impl Engine {
         Ok(())
     }
 
+    /// Boundary `index` of the epochs: `index × period` days.
+    fn boundary(&self, index: u64) -> Timestamp {
+        let period = Days::new_saturating(self.config.period_days);
+        Timestamp::period_boundary(Timestamp::ZERO, period, index)
+    }
+
     /// The in-memory epoch step, shared by the live path and WAL
-    /// replay. Mirrors `PScheme::evaluate` exactly: detect with the
-    /// previous epoch's trust over the full prefix, then update trust
-    /// over this period's ratings with the fresh marks, and declare the
-    /// raters whose trust that update wrote (none under a discount, which
-    /// rewrites every record) so the next detection re-reads only those.
+    /// replay: one `PSchemeState::step` over the next period.
     fn apply_epoch(&mut self) {
-        let index = self.epochs as f64;
-        let period = TimeWindow::ordered(
-            Timestamp::saturating(index * self.config.period_days),
-            Timestamp::saturating((index + 1.0) * self.config.period_days),
-        );
-        let prefix_window = TimeWindow::ordered(Timestamp::ZERO, period.end());
-        let prefix = self.dataset.prefix_view(prefix_window);
-        // Detection reads the previous epoch's trust straight from the
-        // manager: nothing updates it until detection has returned.
-        let trust = &self.trust;
-        let (marks, _per_product) = self.detector.detect_all_online(
-            &prefix,
-            prefix_window,
-            |r: RaterId| trust.trust_of(r),
-            &mut self.online,
-        );
-        if let Some(factor) = self.config.trust_discount {
-            self.trust.discount_all(factor);
-        }
-        let update = self.trust.update_epoch(&prefix, period, &marks);
-        // Procedure 1 wrote only the touched records, so the next
-        // detection re-reads only their trust. A discount rewrote every
-        // record: declare nothing and let it resolve them all.
-        if self.config.trust_discount.is_none() {
-            self.online
-                .declare_trust_changes(update.touched.iter().copied());
-        }
-        self.marks = marks;
+        let period =
+            TimeWindow::ordered(self.boundary(self.epochs), self.boundary(self.epochs + 1));
+        self.state.step(&self.dataset, Timestamp::ZERO, period);
         self.epochs += 1;
     }
 
@@ -380,7 +340,8 @@ impl Engine {
             epochs: self.epochs,
             wal_events: self.wal.events(),
             trust: self
-                .trust
+                .state
+                .trust()
                 .records()
                 .map(|(rater, record)| {
                     (
@@ -390,8 +351,8 @@ impl Engine {
                     )
                 })
                 .collect(),
-            marks: self.marks.iter().map(|id| id.value()).collect(),
-            online: self.online.snapshot(),
+            marks: self.suspicious().iter().map(|id| id.value()).collect(),
+            online: self.state.online().snapshot(),
         };
         write_checkpoint(&self.dir, &image)
     }
@@ -401,19 +362,19 @@ impl Engine {
     /// server calls this when it renders its metrics; the values are the
     /// same after a restart as in a process that never stopped.
     pub fn publish_trust_gauges(&self) {
-        self.trust.publish_gauges();
+        self.state.trust().publish_gauges();
     }
 
     /// Trust value of one rater (0.5 if never observed).
     #[must_use]
     pub fn trust_of(&self, rater: RaterId) -> f64 {
-        self.trust.trust_of(rater)
+        self.state.trust().trust_of(rater)
     }
 
     /// Full trust record of one rater, if observed.
     #[must_use]
     pub fn trust_record(&self, rater: RaterId) -> Option<TrustView> {
-        self.trust.record(rater).map(|record| TrustView {
+        self.state.trust().record(rater).map(|record| TrustView {
             rater,
             trust: record.trust(),
             successes: record.successes(),
@@ -424,7 +385,8 @@ impl Engine {
     /// The full trust table, sorted by rater.
     #[must_use]
     pub fn trust_table(&self) -> Vec<TrustView> {
-        self.trust
+        self.state
+            .trust()
             .records()
             .map(|(rater, record)| TrustView {
                 rater,
@@ -438,16 +400,17 @@ impl Engine {
     /// The current suspicion set.
     #[must_use]
     pub fn suspicious(&self) -> &BTreeSet<RatingId> {
-        &self.marks
+        self.state.suspicious()
     }
 
     /// The suspicion set resolved against the dataset, sorted by id.
     #[must_use]
     pub fn suspicious_details(&self) -> Vec<SuspiciousRating> {
-        let mut out = Vec::with_capacity(self.marks.len());
+        let marks = self.suspicious();
+        let mut out = Vec::with_capacity(marks.len());
         for (product, timeline) in self.dataset.products() {
             for entry in timeline.iter() {
-                if self.marks.contains(&entry.id()) {
+                if marks.contains(&entry.id()) {
                     out.push(SuspiciousRating {
                         id: entry.id(),
                         rater: entry.rater(),
@@ -462,47 +425,19 @@ impl Engine {
         out
     }
 
-    /// The scoring window: cumulative, up to the last completed epoch.
-    fn scoring_window(&self) -> TimeWindow {
-        TimeWindow::ordered(
-            Timestamp::ZERO,
-            Timestamp::saturating(self.epochs as f64 * self.config.period_days),
-        )
-    }
-
     /// The current aggregate score of a product, or `None` if the
-    /// product has no ratings at all.
+    /// product has no ratings at all. The scoring window is cumulative,
+    /// up to the end of the last completed epoch.
     #[must_use]
     pub fn score_of(&self, product: ProductId) -> Option<ProductScore> {
         let timeline = self.dataset.product(product)?;
-        let slice = timeline.in_window(self.scoring_window());
-        let score = if self.epochs == 0 || slice.is_empty() {
-            None
-        } else {
-            let kept = filter_ratings(
-                slice,
-                &self.marks,
-                |r| self.trust.trust_of(r),
-                self.config.filter_trust_threshold,
-            );
-            let pairs: Vec<(f64, f64)> = kept
-                .iter()
-                .map(|e| (e.value(), self.trust.trust_of(e.rater())))
-                .collect();
-            // Same fallback as the batch P-scheme: if the filter removed
-            // everything, score the raw slice — a deployed system never
-            // shows "no rating" for a rated product.
-            weighted_aggregate(&pairs).or_else(|| {
-                let pairs: Vec<(f64, f64)> = slice
-                    .iter()
-                    .map(|e| (e.value(), self.trust.trust_of(e.rater())))
-                    .collect();
-                weighted_aggregate(&pairs)
-            })
-        };
+        let slice = timeline.in_window(TimeWindow::ordered(
+            Timestamp::ZERO,
+            self.boundary(self.epochs),
+        ));
         Some(ProductScore {
             product,
-            score,
+            score: self.state.score(slice),
             ratings_scored: slice.len(),
             ratings_total: timeline.len(),
         })

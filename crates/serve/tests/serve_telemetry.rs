@@ -100,6 +100,7 @@ fn a_served_run_records_metrics_but_no_spans_events_or_decisions() {
     let mut server = Server::new(engine);
     drive(&mut server);
     let metrics = exchange(&mut server, "GET /metrics HTTP/1.1\r\n\r\n");
+    let marked = server.engine().suspicious().len();
 
     let spans = rrs_obs::trace::drain_spans();
     let events = rrs_obs::trace::drain_events();
@@ -116,6 +117,13 @@ fn a_served_run_records_metrics_but_no_spans_events_or_decisions() {
     assert_eq!(dumps, 0, "the flight recorder dumped");
     assert!(metrics.contains("\ntrust_epochs 6\n"), "got {metrics}");
     assert!(metrics.contains("# TYPE detect_marked_per_product summary\n"));
+    // The engine steps the P-scheme's own epoch, so it reports the
+    // scheme's series too.
+    assert_eq!(
+        series_line(&metrics, "scheme_suspicious_set_size"),
+        Some(format!("scheme_suspicious_set_size {marked}").as_str()),
+        "got {metrics}"
+    );
 }
 
 #[test]

@@ -5,11 +5,10 @@
 //! cargo run --release --example trust_dynamics
 //! ```
 
+use rrs::aggregation::{PSchemeConfig, PSchemeState};
 use rrs::attack::AttackStrategy;
 use rrs::challenge::{ChallengeConfig, RatingChallenge};
-use rrs::core::{Days, EvalContext, TimeWindow};
-use rrs::detectors::JointDetector;
-use rrs::trust::TrustManager;
+use rrs::core::{Days, EvalContext};
 use rrs_core::rng::Xoshiro256pp;
 
 fn main() {
@@ -26,30 +25,20 @@ fn main() {
     let attacked = challenge.attacked_dataset(&attack);
 
     let eval_ctx = EvalContext::new(challenge.horizon(), Days::new(30.0).expect("constant"));
-    let detector = JointDetector::default();
-    let mut trust = TrustManager::new();
+    // The P-scheme's own epoch stepper: detect, then Procedure 1.
+    let mut scheme = PSchemeState::new(PSchemeConfig::paper());
 
     println!("epoch | avg honest trust | avg attacker trust | suspicious marks");
-    for (epoch, period) in eval_ctx.periods().iter().enumerate() {
-        let prefix_window =
-            TimeWindow::new(eval_ctx.horizon().start(), period.end()).expect("inside horizon");
-        let prefix = attacked.restricted(prefix_window);
-        let snapshot = trust.snapshot();
-        let (marks, _) = detector.detect_all(&prefix, prefix_window, |r| {
-            snapshot.get(&r).copied().unwrap_or(0.5)
-        });
-        let update = trust.update_epoch(&prefix, *period, &marks);
-
-        let mut honest = Vec::new();
-        let mut attackers = Vec::new();
-        for (rater, value) in trust.snapshot() {
-            if rater.value() >= 1_000_000 {
-                attackers.push(value);
-            } else {
-                honest.push(value);
-            }
-        }
-        let avg = |v: &[f64]| {
+    for (epoch, period) in eval_ctx.periods().into_iter().enumerate() {
+        let update = scheme.step(&attacked, eval_ctx.horizon().start(), period);
+        // Attackers' rater ids start at 1,000,000.
+        let avg = |attacker: bool| {
+            let v: Vec<f64> = scheme
+                .trust()
+                .records()
+                .filter(|(rater, _)| (rater.value() >= 1_000_000) == attacker)
+                .map(|(_, record)| record.trust())
+                .collect();
             if v.is_empty() {
                 0.5
             } else {
@@ -58,8 +47,8 @@ fn main() {
         };
         println!(
             "{epoch:>5} | {:>16.3} | {:>18.3} | {} marks on {} ratings",
-            avg(&honest),
-            avg(&attackers),
+            avg(false),
+            avg(true),
             update.suspicious,
             update.ratings,
         );

@@ -24,12 +24,23 @@
 //! column, and set, where every epoch resolves every rater. The other
 //! serving gates compare the server only with a replay of its own
 //! handler, so they cannot see it drift from the paper's scheme.
+//!
+//! Both sides step the same `PSchemeState`, so a change that stopped all
+//! marking would still leave them equal. A drawn attack may legitimately
+//! mark nothing (slow poison over 15-day periods often does), so the
+//! property does not require marks; a fixed table of cells, one or more
+//! per strategy and period, does. A last case feeds decimal days at a
+//! 0.1-day period, where a period boundary summed step by step and one
+//! multiplied out differ in the last bit.
 
 use rrs::aggregation::{PScheme, PSchemeConfig};
 use rrs::attack::AttackStrategy;
 use rrs::challenge::{ChallengeConfig, RatingChallenge};
 use rrs::core::rng::Xoshiro256pp;
-use rrs::core::{prop_assert, props, AggregationScheme, Days, EvalContext, RatingDataset};
+use rrs::core::{
+    prop_assert, props, AggregationScheme, Days, EvalContext, ProductId, RaterId, RatingDataset,
+    RatingId, RatingSource, RatingValue, TimeWindow, Timestamp,
+};
 use rrs::detectors::DetectorConfig;
 use rrs::serve::{Engine, EngineConfig, RatingSubmission};
 use std::collections::BTreeSet;
@@ -85,7 +96,13 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn check(seed: u64, strategy: usize, period_days: f64, trust_discount: Option<f64>) {
+/// Runs one case and returns the union of the served suspicion sets.
+fn check(
+    seed: u64,
+    strategy: usize,
+    period_days: f64,
+    trust_discount: Option<f64>,
+) -> BTreeSet<RatingId> {
     let horizon_days = ChallengeConfig::small().fair.horizon_days;
     let periods = (horizon_days / period_days).round() as usize;
     let stream = stream(seed, strategy, period_days);
@@ -99,9 +116,9 @@ fn check(seed: u64, strategy: usize, period_days: f64, trust_discount: Option<f6
     for (_, s) in &stream {
         dataset.insert(s.rating(), s.source);
     }
-    let horizon = rrs::core::TimeWindow::new(
-        rrs::core::Timestamp::ZERO,
-        rrs::core::Timestamp::new(horizon_days).expect("valid horizon"),
+    let horizon = TimeWindow::new(
+        Timestamp::ZERO,
+        Timestamp::new(horizon_days).expect("valid horizon"),
     )
     .expect("valid horizon");
     let ctx = EvalContext::new(horizon, Days::new(period_days).expect("valid period"));
@@ -145,10 +162,6 @@ fn check(seed: u64, strategy: usize, period_days: f64, trust_discount: Option<f6
         }
     }
     prop_assert!(
-        !served_marks.is_empty(),
-        "nothing was marked; the check would be vacuous"
-    );
-    prop_assert!(
         &served_marks == paper.suspicious(),
         "suspicion sets differ: served {}, paper {}",
         served_marks.len(),
@@ -167,6 +180,7 @@ fn check(seed: u64, strategy: usize, period_days: f64, trust_discount: Option<f6
     prop_assert!(served_trust == paper_trust, "final trust tables differ");
     drop(engine);
     std::fs::remove_dir_all(&dir).expect("cleanup");
+    served_marks
 }
 
 props! {
@@ -181,4 +195,77 @@ props! {
         check(seed, strategy, period_days, None);
         check(seed, strategy, period_days, Some(0.8));
     }
+}
+
+/// Cells known to mark, `(seed, strategy, period)`: every strategy at
+/// both periods, each required to mark, with and without a discount.
+const MARKING_CELLS: [(u64, usize, f64); 6] = [
+    (0, 0, 10.0),
+    (1, 0, 15.0),
+    (2, 1, 10.0),
+    (3, 1, 15.0),
+    (4, 2, 10.0),
+    (5, 2, 15.0),
+];
+
+#[test]
+fn served_marks_equal_the_paper_marks_on_cells_that_mark() {
+    for (seed, strategy, period_days) in MARKING_CELLS {
+        for trust_discount in [None, Some(0.8)] {
+            let marks = check(seed, strategy, period_days, trust_discount);
+            assert!(
+                !marks.is_empty(),
+                "seed {seed}, strategy {strategy}, period {period_days}, \
+                 discount {trust_discount:?} marked nothing"
+            );
+        }
+    }
+}
+
+#[test]
+fn decimal_day_periods_serve_the_paper_scores() {
+    // One rating a decimal day, 0.0 to 5.9, at a 0.1-day period. The
+    // rating at day 0.6 lies before boundary 6 multiplied out
+    // (0.6000000000000001) but not before 0.1 summed six times (0.6).
+    let period = Days::new(0.1).expect("valid period");
+    let product = ProductId::new(0);
+    let submissions: Vec<RatingSubmission> = (0..60u32)
+        .map(|k| RatingSubmission {
+            rater: RaterId::new(k),
+            product,
+            day: Timestamp::new(f64::from(k) / 10.0).expect("finite day"),
+            value: RatingValue::new(f64::from(1 + k % 5)).expect("on the scale"),
+            source: RatingSource::Fair,
+        })
+        .collect();
+    let mut dataset = RatingDataset::new();
+    for s in &submissions {
+        dataset.insert(s.rating(), s.source);
+    }
+    let horizon = TimeWindow::new(Timestamp::ZERO, Timestamp::new(6.0).expect("finite"))
+        .expect("valid horizon");
+    let ctx = EvalContext::new(horizon, period);
+    let paper = PScheme::new().evaluate(&dataset, &ctx);
+    let scores = paper.scores(product).expect("the product is scored");
+    assert_eq!(scores.len(), 60);
+
+    let dir = scratch("decimal-days");
+    let mut engine = Engine::open(&dir, EngineConfig::paper(period.get())).expect("open engine");
+    let mut pending = submissions.as_slice();
+    for (epoch, expected) in scores.iter().enumerate() {
+        // What a client does: submit everything before the epoch's end.
+        let end = Timestamp::period_boundary(Timestamp::ZERO, period, epoch as u64 + 1);
+        let due = pending.iter().take_while(|s| s.day < end).count();
+        engine.submit(&pending[..due]).expect("submit");
+        pending = &pending[due..];
+        engine.advance_epoch().expect("epoch");
+        let served = engine.score_of(product).and_then(|r| r.score);
+        assert_eq!(
+            served.map(f64::to_bits),
+            expected.map(f64::to_bits),
+            "epoch {epoch}: served {served:?}, paper {expected:?}"
+        );
+    }
+    drop(engine);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
