@@ -297,10 +297,12 @@ fn record_decisions(
                 raters.insert(entry.rater());
             }
         }
-        let trust = update
-            .deltas
+        let trust = raters
             .iter()
-            .filter(|d| raters.contains(&d.rater))
+            .filter_map(|r| {
+                let at = update.deltas.binary_search_by_key(r, |d| d.rater).ok()?;
+                Some(&update.deltas[at])
+            })
             .map(|d| rrs_obs::decision::TrustTrajectory {
                 rater: u64::from(d.rater.value()),
                 alpha_before: d.successes_before + 1.0,

@@ -39,11 +39,11 @@ pub struct AttackConfig {
     pub calibrated: bool,
 }
 
+#[cfg(test)]
 impl AttackConfig {
-    /// A one-month burst of 50 maximally biased ratings starting at
-    /// `start` — the classic naive attack.
-    #[must_use]
-    pub fn naive_burst(start: Timestamp) -> Self {
+    /// A ten-day burst of 50 maximally biased ratings starting at
+    /// `start` — the classic naive attack, as a test fixture.
+    fn naive_burst(start: Timestamp) -> Self {
         AttackConfig {
             bias_magnitude: 5.0,
             std_dev: 0.0,

@@ -1,5 +1,6 @@
 //! Prices the static analyzer itself: a full workspace scan (walk +
-//! lex + line rules + item model + determinism/layering/API passes)
+//! lex + line rules + item model + determinism/layering/API/dead-item
+//! passes)
 //! and the item-model parse of the largest source file, so a pass that
 //! goes accidentally quadratic shows up as a regression here.
 //!

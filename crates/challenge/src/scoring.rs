@@ -47,12 +47,6 @@ impl<'a> ScoringSession<'a> {
         }
     }
 
-    /// Returns the scheme under evaluation.
-    #[must_use]
-    pub fn scheme_name(&self) -> &str {
-        self.scheme.name()
-    }
-
     /// Scores one submission.
     #[must_use]
     pub fn score(&self, sequence: &AttackSequence) -> MpReport {
@@ -128,7 +122,7 @@ mod tests {
         let via_session = session.score(&seq);
         let direct = challenge.score(&scheme, &seq).unwrap();
         assert_eq!(via_session, direct);
-        assert_eq!(session.scheme_name(), "SA-scheme");
+        assert_eq!(session.scheme.name(), "SA-scheme");
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl GroundTruth {
         self.unfair.len()
     }
 
-    /// Returns the total number of ratings in the labeled dataset.
-    #[must_use]
-    pub const fn total_count(&self) -> usize {
-        self.total
-    }
-
     /// Scores a set of suspicion marks against this truth.
     #[must_use]
     pub fn score(&self, marked: &BTreeSet<RatingId>) -> ConfusionCounts {
@@ -108,19 +102,6 @@ impl ConfusionCounts {
             self.fp as f64 / fair as f64
         }
     }
-
-    /// The harmonic mean of precision and recall.
-    #[must_use]
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        // lint:allow(float-eq): both terms are non-negative, so the sum is exactly zero only when both are
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 impl fmt::Display for ConfusionCounts {
@@ -182,7 +163,6 @@ mod tests {
         assert_eq!(c.precision(), 1.0);
         assert_eq!(c.recall(), 1.0);
         assert_eq!(c.false_alarm_rate(), 0.0);
-        assert_eq!(c.f1(), 1.0);
     }
 
     #[test]
@@ -220,7 +200,7 @@ mod tests {
         let (d, _, _) = build();
         let truth = GroundTruth::from_dataset(&d);
         assert_eq!(truth.unfair_count(), 4);
-        assert_eq!(truth.total_count(), 12);
+        assert_eq!(truth.total, 12);
     }
 
     #[test]

@@ -1,66 +1,6 @@
-//! Sliding-window utilities over rating streams.
-//!
-//! The paper's detectors slide a window along the rating sequence and test
-//! the first half against the second half (mean change) or the left days
-//! against the right days (arrival-rate change). Near the stream edges the
-//! paper shrinks the window symmetrically; [`centered_windows`] implements
-//! exactly that scheme for index-based streams.
+//! Segmenting rating streams at the peaks of an indicator curve.
 
 use std::ops::Range;
-
-/// A symmetric window around a center index, split into its two halves.
-///
-/// `left` is `[center - w, center)` and `right` is `[center, center + w)`
-/// for the (possibly edge-shrunken) half-width `w`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CenteredWindow {
-    /// The center index the test is attributed to.
-    pub center: usize,
-    /// Indices of the first half.
-    pub left: Range<usize>,
-    /// Indices of the second half.
-    pub right: Range<usize>,
-}
-
-impl CenteredWindow {
-    /// The half-width actually used (after edge shrinking).
-    #[must_use]
-    pub fn half_width(&self) -> usize {
-        self.left.len()
-    }
-}
-
-/// Iterates symmetric two-sided windows over a stream of length `len`.
-///
-/// For every center `k` in `min_half..=len - min_half`, the half-width is
-/// `min(half, k, len - k)`, following the paper's note that near the edges
-/// "a smaller window size" is used. Centers that cannot support even
-/// `min_half` samples per side are skipped.
-///
-/// # Panics
-///
-/// Panics if `min_half` is zero — a zero-width half makes every test
-/// degenerate.
-#[must_use]
-pub fn centered_windows(len: usize, half: usize, min_half: usize) -> Vec<CenteredWindow> {
-    assert!(min_half > 0, "min_half must be at least 1");
-    let mut out = Vec::new();
-    if len < 2 * min_half {
-        return out;
-    }
-    for center in min_half..=(len - min_half) {
-        let w = half.min(center).min(len - center);
-        if w < min_half {
-            continue;
-        }
-        out.push(CenteredWindow {
-            center,
-            left: (center - w)..center,
-            right: center..(center + w),
-        });
-    }
-    out
-}
 
 /// Splits `0..len` into maximal segments separated by `peaks`.
 ///
@@ -96,37 +36,6 @@ mod tests {
     use crate::{prop_assert, prop_assert_eq, props};
 
     #[test]
-    fn windows_full_width_in_middle() {
-        let ws = centered_windows(100, 10, 2);
-        let mid = ws.iter().find(|w| w.center == 50).unwrap();
-        assert_eq!(mid.left, 40..50);
-        assert_eq!(mid.right, 50..60);
-        assert_eq!(mid.half_width(), 10);
-    }
-
-    #[test]
-    fn windows_shrink_at_edges() {
-        let ws = centered_windows(100, 10, 2);
-        let first = ws.first().unwrap();
-        assert_eq!(first.center, 2);
-        assert_eq!(first.half_width(), 2);
-        let last = ws.last().unwrap();
-        assert_eq!(last.center, 98);
-        assert_eq!(last.half_width(), 2);
-    }
-
-    #[test]
-    fn short_stream_yields_nothing() {
-        assert!(centered_windows(3, 10, 2).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "min_half")]
-    fn zero_min_half_panics() {
-        let _ = centered_windows(10, 3, 0);
-    }
-
-    #[test]
     fn split_no_peaks_is_whole_range() {
         assert_eq!(split_at_peaks(10, &[]), vec![0..10]);
     }
@@ -147,17 +56,6 @@ mod tests {
     }
 
     props! {
-        #[test]
-        fn windows_are_in_bounds(len in 0usize..200, half in 1usize..40, min_half in 1usize..5) {
-            for w in centered_windows(len, half, min_half) {
-                prop_assert!(w.right.end <= len);
-                prop_assert_eq!(w.left.end, w.center);
-                prop_assert_eq!(w.right.start, w.center);
-                prop_assert_eq!(w.left.len(), w.right.len());
-                prop_assert!(w.left.len() >= min_half);
-            }
-        }
-
         #[test]
         fn segments_partition_range(len in 1usize..100, peaks in vec_of(0usize..120, 0..10)) {
             let segs = split_at_peaks(len, &peaks);

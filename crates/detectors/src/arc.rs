@@ -136,15 +136,6 @@ impl ArcOutcome {
     pub fn is_suspicious(&self) -> bool {
         !self.suspicious.is_empty()
     }
-
-    /// Returns `true` if the detector saw a rate change at all (any peak).
-    ///
-    /// The integration logic issues an H-ARC/L-ARC *alarm* when a rate
-    /// change exists but no U-shape frames it (paper Fig. 1, path 2).
-    #[must_use]
-    pub fn has_alarm(&self) -> bool {
-        !self.peaks.is_empty()
-    }
 }
 
 /// Computes the ARC curve point at day index `k`, with the window halves
@@ -459,7 +450,7 @@ mod tests {
     fn too_short_series_is_silent() {
         let out = detect_counts(&[1, 2], ts(0.0), ArcVariant::All, &ArcConfig::default());
         assert!(out.curve.is_empty());
-        assert!(!out.has_alarm());
+        assert!(out.peaks.is_empty());
     }
 
     #[test]

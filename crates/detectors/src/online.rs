@@ -182,12 +182,6 @@ impl OnlineState {
         OnlineState::default()
     }
 
-    /// Number of products holding rolling state.
-    #[must_use]
-    pub fn products_tracked(&self) -> usize {
-        self.products.len()
-    }
-
     /// Declares that the trust of `raters` may have changed since the
     /// last [`JointDetector::detect_all_online`] call with this state,
     /// and that no other rater's did.
@@ -1441,7 +1435,7 @@ mod tests {
         let restored = OnlineState::restore(&image);
         // The image is a fixed point: capture(restore(x)) == x.
         assert_eq!(restored.snapshot(), image);
-        assert_eq!(restored.products_tracked(), state.products_tracked());
+        assert_eq!(restored.products.len(), state.products.len());
     }
 
     #[test]
@@ -1860,11 +1854,11 @@ mod tests {
         let d = fair_dataset(9);
         let detector = JointDetector::default();
         let mut state = OnlineState::new();
-        assert_eq!(state.products_tracked(), 0);
+        assert!(state.products.is_empty());
         let window = TimeWindow::new(ts(0.0), ts(30.0)).unwrap();
         let prefix = d.prefix_view(window);
         detector.detect_all_online(&prefix, window, trust_fn, &mut state);
-        assert_eq!(state.products_tracked(), 2);
+        assert_eq!(state.products.len(), 2);
     }
 
     props! {

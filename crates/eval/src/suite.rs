@@ -1,6 +1,5 @@
-//! Experiment suite wiring: shared setup and the run-everything driver.
+//! Experiment suite wiring: the setup every experiment shares.
 
-use crate::report::ExperimentReport;
 use rrs_attack::{generate_population, AttackContext, PopulationConfig, SubmissionSpec};
 use rrs_challenge::{ChallengeConfig, RatingChallenge};
 use std::path::PathBuf;
@@ -87,34 +86,6 @@ impl Workbench {
     pub fn focus_product(&self) -> Option<rrs_core::ProductId> {
         self.challenge.config().downgrade_targets.first().copied()
     }
-}
-
-/// Runs every experiment, writing outputs if configured.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from report writing.
-pub fn run_all(config: &SuiteConfig) -> std::io::Result<Vec<ExperimentReport>> {
-    let _span = rrs_obs::trace::span("eval.run_all");
-    let workbench = Workbench::build(config);
-    let reports = vec![
-        crate::fig2_4::run(&workbench),
-        crate::fig5::run(&workbench),
-        crate::fig6::run(&workbench),
-        crate::fig7::run(&workbench),
-        crate::max_mp::run(&workbench),
-        crate::ablation::run(&workbench),
-        crate::detection::run(&workbench),
-        crate::boost::run(&workbench),
-        crate::scoring_ablation::run(&workbench),
-        crate::roc::run(&workbench),
-    ];
-    if let Some(dir) = &config.out_dir {
-        for report in &reports {
-            report.write_to(dir)?;
-        }
-    }
-    Ok(reports)
 }
 
 #[cfg(test)]

@@ -1,0 +1,7 @@
+//! Another target of the crate: its uses count.
+
+#[test]
+fn callers() {
+    assert_eq!(widget::from_tests(), 2);
+    assert_eq!(widget::widget_four!(), 4);
+}

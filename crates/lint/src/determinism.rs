@@ -21,7 +21,7 @@
 //!
 //! All three honor `lint:allow` waivers, like every line rule.
 
-use crate::lexer::is_ident_char;
+use crate::lexer::{idents, is_ident_char};
 use crate::report::Finding;
 use crate::rules::{emit_waivable, squeeze, Config, RULE_HASH_ITER, RULE_RELAXED, RULE_SYNC};
 use crate::walk::FileClass;
@@ -38,13 +38,6 @@ pub fn run(config: &Config, models: &mut [FileModel], findings: &mut Vec<Finding
         relaxed_ordering(config, model, findings);
         hash_iteration(model, findings);
     }
-}
-
-/// Identifier tokens of a scrubbed line, in order.
-fn idents(line: &str) -> Vec<&str> {
-    line.split(|c: char| !is_ident_char(c))
-        .filter(|s| !s.is_empty())
-        .collect()
 }
 
 /// The identifier ending exactly at the end of `s` (the receiver of a

@@ -46,13 +46,6 @@ impl Scrubbed {
     }
 }
 
-/// Replaces every comment character and literal character of `src`
-/// with a space, preserving newlines (and therefore line numbers).
-#[must_use]
-pub fn scrub(src: &str) -> String {
-    scrub_with_comments(src).0
-}
-
 /// Sink for the scrubbed text plus the per-line non-doc comment text.
 struct Sink {
     out: String,
@@ -258,6 +251,13 @@ fn closes_raw(chars: &[char], i: usize, hashes: usize) -> bool {
 /// Is `c` part of an identifier?
 pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
+}
+
+/// Identifier tokens of a scrubbed line, in order.
+pub(crate) fn idents(line: &str) -> Vec<&str> {
+    line.split(|c: char| !is_ident_char(c))
+        .filter(|s| !s.is_empty())
+        .collect()
 }
 
 /// Marks every line covered by a `#[cfg(test)]` item.

@@ -22,6 +22,8 @@
 //! * **Hermeticity** — every manifest stays free of external
 //!   dependencies ([`manifest`]), and every library root carries
 //!   `#![forbid(unsafe_code)]` ([`rules::RULE_FORBID_UNSAFE`]).
+//! * **Least code** — no public item outlives its last caller
+//!   ([`dead`]).
 //!
 //! Run it as `cargo run -p rrs-lint` or `rrs lint`; findings are also
 //! exportable as machine-readable JSONL. Individual sites are waived
@@ -32,6 +34,7 @@
 
 pub mod api;
 pub mod budget;
+pub mod dead;
 pub mod determinism;
 pub mod items;
 pub mod layers;
@@ -55,8 +58,8 @@ pub const LOCK_FILE: &str = "lint.lock";
 /// One source file's full analysis state: the scrubbed text, the item
 /// model parsed from it, and the waivers the per-line rules have not
 /// yet consumed. The workspace passes ([`determinism`], [`layers`],
-/// [`api`]) all read from this shared view so each file is lexed and
-/// parsed exactly once.
+/// [`api`], [`dead`]) all read from this shared view so each file is
+/// lexed and parsed exactly once.
 #[derive(Debug)]
 pub struct FileModel {
     /// The discovered source file.
@@ -217,6 +220,15 @@ pub fn scan(config: &Config) -> io::Result<Report> {
             message: "missing api.lock at the workspace root — generate it with --write-api-lock"
                 .to_string(),
         });
+    }
+
+    // Workspace pass 4: public items that nothing names.
+    if ws.is_workspace {
+        let mut callers = Vec::with_capacity(ws.callers.len());
+        for path in &ws.callers {
+            callers.push(lexer::Scrubbed::new(&fs::read_to_string(path)?));
+        }
+        dead::run(&mut models, &surface, &callers, &mut findings);
     }
 
     // Every waiver must shield something: a stale directive is noise

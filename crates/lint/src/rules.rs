@@ -58,6 +58,9 @@ pub const RULE_LAYERING: &str = "layering";
 /// API stability: public surfaces must match `api.lock`
 /// ([`crate::api`]).
 pub const RULE_API: &str = "api-surface";
+/// Simplicity: a public item that no code outside its own declaration
+/// and its own file's tests names ([`crate::dead`]).
+pub const RULE_DEAD_PUB: &str = "dead-pub";
 
 /// All waivable rule identifiers (`lint:allow(...)` targets).
 pub const WAIVABLE: &[&str] = &[
@@ -72,6 +75,7 @@ pub const WAIVABLE: &[&str] = &[
     RULE_SYNC,
     RULE_RELAXED,
     RULE_HASH_ITER,
+    RULE_DEAD_PUB,
 ];
 
 /// Scanner configuration: the scoping tables for every rule.

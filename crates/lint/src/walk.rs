@@ -57,7 +57,15 @@ pub struct Workspace {
     pub lib_roots: Vec<String>,
     /// Whether `root` looked like the real workspace (crates/ + Cargo.toml).
     pub is_workspace: bool,
+    /// Sources under [`CALLER_DIR`]: read as callers by the dead-item
+    /// pass, never linted.
+    pub callers: Vec<PathBuf>,
 }
+
+/// The root-relative directory outside the workspace whose sources call
+/// into it: servebench is its own package, so the walk does not lint
+/// it, but what it calls is live.
+const CALLER_DIR: &str = "servebench/src";
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "results", ".github"];
@@ -137,11 +145,18 @@ fn discover_workspace(root: &Path) -> io::Result<Workspace> {
             .unwrap_or_else(|| relative(root, &member).replace('/', "-"));
         add_package(&member, &name)?;
     }
+    let caller_dir = root.join(CALLER_DIR);
+    let callers = if caller_dir.is_dir() {
+        rust_files(&caller_dir)?
+    } else {
+        Vec::new()
+    };
     Ok(Workspace {
         sources,
         manifests,
         lib_roots,
         is_workspace: true,
+        callers,
     })
 }
 
@@ -169,6 +184,7 @@ fn discover_bare(root: &Path) -> io::Result<Workspace> {
         manifests,
         lib_roots: Vec::new(),
         is_workspace: false,
+        callers: Vec::new(),
     })
 }
 
@@ -253,6 +269,12 @@ mod tests {
         // Fixture directories must never be scanned as workspace
         // sources (tests/fixtures.rs, the harness, is fine).
         assert!(ws.sources.iter().all(|s| !s.rel.contains("fixtures/")));
+        // servebench is read as a caller, not walked as a source.
+        assert!(ws
+            .callers
+            .iter()
+            .any(|p| p.ends_with("servebench/src/main.rs")));
+        assert!(ws.sources.iter().all(|s| !s.rel.starts_with("servebench/")));
     }
 
     #[test]

@@ -193,6 +193,21 @@ fn api_drift_fixture_reports_both_directions() {
 }
 
 #[test]
+fn dead_pub_fixture_reports_the_uncalled_item_and_the_stale_waiver() {
+    // widget's items are called from the crate's tests/, from a macro
+    // body and from servebench/src, and one is waived. Only `orphan`,
+    // named by its doc comment and its own test module, is dead; the
+    // waiver above the called `from_tests` is stale.
+    let report = rrs_lint::scan_root(&fixture("dead_pub")).unwrap();
+    let got: Vec<_> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        got,
+        vec![(rules::RULE_DEAD_PUB, 4), (rules::RULE_UNUSED_ALLOW, 8)]
+    );
+    assert!(report.findings[0].message.contains("`fn orphan`"));
+}
+
+#[test]
 fn fixtures_use_the_bare_policy() {
     // Fixture directories have no Cargo.toml, so the strict policy
     // (every crate denied everything) applies.

@@ -18,33 +18,6 @@ pub fn write_jsonl<W: Write>(records: &[DecisionRecord], mut writer: W) -> std::
     Ok(())
 }
 
-/// Renders records as a JSONL string.
-#[must_use]
-pub fn to_jsonl_string(records: &[DecisionRecord]) -> String {
-    let mut buf = Vec::new();
-    write_jsonl(records, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("decision traces are valid UTF-8")
-}
-
-/// Writes records as a pretty-enough JSON array (one record per line,
-/// for tools that want a single document instead of JSONL).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_json_array<W: Write>(
-    records: &[DecisionRecord],
-    mut writer: W,
-) -> std::io::Result<()> {
-    writeln!(writer, "[")?;
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        writeln!(writer, "  {}{comma}", r.to_json())?;
-    }
-    writeln!(writer, "]")?;
-    Ok(())
-}
-
 /// Writes records to `path` as JSONL.
 ///
 /// # Errors
@@ -77,9 +50,15 @@ mod tests {
         }
     }
 
+    fn jsonl(records: &[DecisionRecord]) -> String {
+        let mut buf = Vec::new();
+        write_jsonl(records, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
     #[test]
     fn jsonl_is_one_record_per_line() {
-        let s = to_jsonl_string(&[tiny(0), tiny(1)]);
+        let s = jsonl(&[tiny(0), tiny(1)]);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"product\":0,"));
@@ -88,22 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn json_array_brackets_every_record() {
-        let mut buf = Vec::new();
-        write_json_array(&[tiny(0), tiny(1)], &mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.starts_with("[\n"));
-        assert!(s.ends_with("]\n"));
-        assert_eq!(s.matches("\"product\"").count(), 2);
-        assert!(s.matches(',').count() >= 1);
-    }
-
-    #[test]
     fn empty_trace_exports_cleanly() {
-        assert_eq!(to_jsonl_string(&[]), "");
-        let mut buf = Vec::new();
-        write_json_array(&[], &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "[\n]\n");
+        assert_eq!(jsonl(&[]), "");
     }
 
     #[test]
@@ -113,6 +78,6 @@ mod tests {
         write_trace_file(&path, &[tiny(7)]).unwrap();
         let read = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(read, to_jsonl_string(&[tiny(7)]));
+        assert_eq!(read, jsonl(&[tiny(7)]));
     }
 }

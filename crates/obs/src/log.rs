@@ -7,9 +7,9 @@
 //! calls this replaces used to do.
 //!
 //! Use through the [`rrs_error!`](crate::rrs_error),
-//! [`rrs_warn!`](crate::rrs_warn), [`rrs_info!`](crate::rrs_info), and
-//! [`rrs_debug!`](crate::rrs_debug) macros, which skip message
-//! formatting entirely when the level is filtered out.
+//! [`rrs_warn!`](crate::rrs_warn) and [`rrs_info!`](crate::rrs_info)
+//! macros, which skip message formatting entirely when the level is
+//! filtered out.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -116,16 +116,6 @@ macro_rules! rrs_info {
     };
 }
 
-/// Logs at [`Level::Debug`] (stdout, prefixed `debug:`).
-#[macro_export]
-macro_rules! rrs_debug {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled_for($crate::log::Level::Debug) {
-            $crate::log::log($crate::log::Level::Debug, ::core::format_args!($($arg)*));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +149,7 @@ mod tests {
                 panic!("formatting must not happen for a filtered level");
             }
         }
-        rrs_debug!("{}", Bomb);
+        rrs_info!("{}", Bomb);
         set_verbosity(Level::Info);
     }
 }

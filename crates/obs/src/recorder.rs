@@ -4,7 +4,7 @@
 //! Streaming ingest cannot afford to keep every decision trace, but an
 //! operator investigating a suspicion verdict needs what led up to it.
 //! The recorder keeps, per product, a ring of the last
-//! [`capacity`](set_capacity) decision-trace records (as rendered JSONL
+//! [`DEFAULT_CAPACITY`] decision-trace records (as rendered JSONL
 //! bodies) plus one small global ring of recently completed spans. When
 //! a record with a fired detector arrives, the product's current ring —
 //! the firing record and the records that preceded it — is snapshotted
@@ -25,7 +25,7 @@ use crate::trace::SpanRecord;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
-/// Default per-product window: the firing record plus up to 7 before it.
+/// The per-product window: the firing record plus up to 7 before it.
 pub const DEFAULT_CAPACITY: usize = 8;
 /// How many recently completed spans the context ring retains.
 const SPAN_RING: usize = 32;
@@ -35,7 +35,6 @@ const MAX_DUMPS: usize = 256;
 static RECORDER: Mutex<Option<Inner>> = Mutex::new(None);
 
 struct Inner {
-    capacity: usize,
     rings: BTreeMap<u64, VecDeque<String>>,
     spans: VecDeque<(&'static str, u64)>,
     dumps: Vec<String>,
@@ -45,7 +44,6 @@ struct Inner {
 impl Inner {
     fn new() -> Self {
         Inner {
-            capacity: DEFAULT_CAPACITY,
             rings: BTreeMap::new(),
             spans: VecDeque::new(),
             dumps: Vec::new(),
@@ -57,19 +55,6 @@ impl Inner {
 fn with_inner<T>(f: impl FnOnce(&mut Inner) -> T) -> Option<T> {
     let mut slot = RECORDER.lock().ok()?;
     Some(f(slot.get_or_insert_with(Inner::new)))
-}
-
-/// Sets the per-product record window (minimum 1) and trims existing
-/// rings to fit.
-pub fn set_capacity(capacity: usize) {
-    with_inner(|inner| {
-        inner.capacity = capacity.max(1);
-        for ring in inner.rings.values_mut() {
-            while ring.len() > inner.capacity {
-                ring.pop_front();
-            }
-        }
-    });
 }
 
 /// Appends a completed span to the context ring. Called by the tracer
@@ -98,9 +83,8 @@ pub fn record_decision(record: &DecisionRecord) {
     let fired = record.any_fired();
     let product = record.product;
     with_inner(|inner| {
-        let capacity = inner.capacity;
         let ring = inner.rings.entry(product).or_default();
-        if ring.len() == capacity {
+        if ring.len() == DEFAULT_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(body);
@@ -157,8 +141,7 @@ pub fn dropped_dumps() -> u64 {
     with_inner(|inner| inner.dropped_dumps).unwrap_or(0)
 }
 
-/// Clears rings, span context, and dumps; resets capacity to the
-/// default.
+/// Clears rings, span context, and dumps.
 pub fn reset() {
     if let Ok(mut slot) = RECORDER.lock() {
         *slot = None;
@@ -229,16 +212,16 @@ mod tests {
         let _guard = tests_lock();
         crate::enable();
         reset();
-        set_capacity(2);
-        for i in 0..5 {
-            record_decision(&record(7, f64::from(i), false));
+        for i in 0..DEFAULT_CAPACITY + 2 {
+            record_decision(&record(7, i as f64, false));
         }
         record_decision(&record(7, 99.0, true));
         let dumps = dump_jsonl();
         crate::disable();
         reset();
-        // Window is the firing record plus one predecessor.
-        assert_eq!(dumps.matches("\"start_day\":").count(), 2);
+        // Window is the firing record plus DEFAULT_CAPACITY - 1
+        // predecessors; the oldest quiet records were trimmed.
+        assert_eq!(dumps.matches("\"start_day\":").count(), DEFAULT_CAPACITY);
     }
 
     #[test]

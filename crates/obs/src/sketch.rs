@@ -117,12 +117,6 @@ impl QuantileSketch {
         self.zeros + self.positive.values().sum::<u64>() + self.negative.values().sum::<u64>()
     }
 
-    /// Non-finite (NaN/±inf) observations seen.
-    #[must_use]
-    pub fn non_finite_count(&self) -> u64 {
-        self.non_finite
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) of the observed finite values,
     /// within [`RELATIVE_ERROR`] of the exact answer; `None` when no
     /// finite value has been observed. `q` outside `[0, 1]` is clamped.
@@ -247,7 +241,7 @@ mod tests {
         s.observe(2.0);
         assert_eq!(s.count(), 3);
         assert_eq!(s.finite_count(), 1);
-        assert_eq!(s.non_finite_count(), 2);
+        assert_eq!(s.non_finite, 2);
         let p99 = s.quantile(0.99).unwrap();
         assert!(p99.is_finite());
         assert!((p99 - 2.0).abs() <= RELATIVE_ERROR * 2.0);

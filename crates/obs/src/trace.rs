@@ -13,11 +13,10 @@
 //! also kept in the `rrs_core::par` context word, which the pool copies
 //! into its workers: a span opened on a worker whose own stack is empty
 //! takes the fanning-out caller's span as its parent, so the tree is the
-//! same at any pool width. [`tree_totals`] folds a
-//! span batch into per-path aggregates (paths are `;`-joined name chains
-//! from root to leaf) and [`collapsed_stacks`] renders the batch in the
-//! collapsed-stack text format flamegraph tools consume, with self-time
-//! (own nanoseconds minus direct children) as the sample value.
+//! same at any pool width. [`collapsed_stacks`] renders a span batch in
+//! the collapsed-stack text format flamegraph tools consume: one line per
+//! `;`-joined name chain from root to leaf, with self-time (own
+//! nanoseconds minus direct children) as the sample value.
 //!
 //! An *event* is a named point-in-time note with a lazily built message —
 //! the closure only runs when tracing is on, so formatting costs
@@ -168,36 +167,16 @@ pub fn drain_events() -> Vec<EventRecord> {
         .unwrap_or_default()
 }
 
-/// Aggregate statistics of all spans sharing one name (or one tree
-/// path, for [`tree_totals`]).
+/// Aggregate statistics of all spans sharing one stage (see
+/// [`stage_totals`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanAgg {
-    /// The span name (or `;`-joined root-to-leaf path).
+    /// The stage name.
     pub name: String,
     /// How many spans completed under this name.
     pub count: u64,
     /// Summed elapsed nanoseconds.
     pub total_ns: u64,
-}
-
-/// Folds raw span records into per-name aggregates, sorted by name.
-#[must_use]
-pub fn aggregate(records: &[SpanRecord]) -> Vec<SpanAgg> {
-    let mut by_name: std::collections::BTreeMap<&'static str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for r in records {
-        let slot = by_name.entry(r.name).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += r.nanos;
-    }
-    by_name
-        .into_iter()
-        .map(|(name, (count, total_ns))| SpanAgg {
-            name: name.to_string(),
-            count,
-            total_ns,
-        })
-        .collect()
 }
 
 /// Folds span records into per-stage totals, where the stage is the name
@@ -248,30 +227,6 @@ fn resolve_paths(records: &[SpanRecord]) -> Vec<String> {
             }
             chain.reverse();
             chain.join(";")
-        })
-        .collect()
-}
-
-/// Folds span records into per-path aggregates — the span-tree view of
-/// a batch. Paths are `;`-joined name chains from root to leaf, so
-/// sorting by name groups a parent directly above its children. Total
-/// nanoseconds are *inclusive* (a parent's total covers its children).
-#[must_use]
-pub fn tree_totals(records: &[SpanRecord]) -> Vec<SpanAgg> {
-    let paths = resolve_paths(records);
-    let mut by_path: std::collections::BTreeMap<String, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for (r, path) in records.iter().zip(paths) {
-        let slot = by_path.entry(path).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += r.nanos;
-    }
-    by_path
-        .into_iter()
-        .map(|(name, (count, total_ns))| SpanAgg {
-            name,
-            count,
-            total_ns,
         })
         .collect()
 }
@@ -483,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums_per_name_and_sorts() {
-        let records = vec![
-            rec("b.x", 5, 1, 0),
-            rec("a.y", 3, 2, 0),
-            rec("b.x", 7, 3, 0),
-        ];
-        let aggs = aggregate(&records);
-        assert_eq!(aggs.len(), 2);
-        assert_eq!(aggs[0].name, "a.y");
-        assert_eq!(aggs[0].count, 1);
-        assert_eq!(aggs[1].name, "b.x");
-        assert_eq!(aggs[1].count, 2);
-        assert_eq!(aggs[1].total_ns, 12);
-    }
-
-    #[test]
     fn stage_totals_group_by_prefix() {
         let records = vec![
             rec("signal.mc", 4, 1, 0),
@@ -515,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_totals_resolve_paths_through_parents() {
+    fn collapsed_stacks_resolve_paths_through_parents() {
         // epoch(10) -> detect(1, 6) with detect(6) -> mc(2); one root
         // orphan whose parent is absent from the batch.
         let records = vec![
@@ -525,20 +464,15 @@ mod tests {
             rec("signal.mc", 2, 4, 3),
             rec("signal.mc", 5, 5, 99),
         ];
-        let tree = tree_totals(&records);
-        let names: Vec<&str> = tree.iter().map(|a| a.name.as_str()).collect();
+        // epoch self = 10-7; the two detect spans share one path and sum
+        // their self times (1 + 6-2); the orphan is a root of its own.
         assert_eq!(
-            names,
-            vec![
-                "scheme.epoch",
-                "scheme.epoch;detect.run",
-                "scheme.epoch;detect.run;signal.mc",
-                "signal.mc",
-            ]
+            collapsed_stacks(&records),
+            "scheme.epoch 3\n\
+             scheme.epoch;detect.run 5\n\
+             scheme.epoch;detect.run;signal.mc 2\n\
+             signal.mc 5\n"
         );
-        let detect = &tree[1];
-        assert_eq!(detect.count, 2);
-        assert_eq!(detect.total_ns, 7);
     }
 
     #[test]

@@ -78,20 +78,36 @@ fn number_token<'a>(fields: &'a [(String, JsonScalar)], name: &str) -> Result<&'
 ///
 /// Returns a human-readable message naming the offending field.
 pub fn parse_submission(line: &str) -> Result<RatingSubmission, String> {
-    let fields = parse_jsonl_object(line)?;
-    for (key, _) in &fields {
+    submission_from_fields(&parse_jsonl_object(line)?, None)
+}
+
+/// Validates the fields of one parsed JSONL object as a submission: the
+/// one check that both the HTTP door and WAL replay run. `extra` names a
+/// key the caller's line format adds beside the submission's own (the
+/// WAL's `event` tag); it is accepted and ignored, and any other unknown
+/// key is an error.
+///
+/// # Errors
+///
+/// Returns a human-readable message naming the offending field.
+pub(crate) fn submission_from_fields(
+    fields: &[(String, JsonScalar)],
+    extra: Option<&str>,
+) -> Result<RatingSubmission, String> {
+    for (key, _) in fields {
         if !matches!(
             key.as_str(),
             "rater" | "product" | "day" | "value" | "source"
-        ) {
+        ) && extra != Some(key.as_str())
+        {
             return Err(format!("unknown field {key:?}"));
         }
     }
-    let rater = parse_rater_id(number_token(&fields, "rater")?)?;
-    let product = parse_product_id(number_token(&fields, "product")?)?;
-    let day = parse_day(number_token(&fields, "day")?)?;
-    let value = parse_value(number_token(&fields, "value")?)?;
-    let source = match jsonl_field(&fields, "source") {
+    let rater = parse_rater_id(number_token(fields, "rater")?)?;
+    let product = parse_product_id(number_token(fields, "product")?)?;
+    let day = parse_day(number_token(fields, "day")?)?;
+    let value = parse_value(number_token(fields, "value")?)?;
+    let source = match jsonl_field(fields, "source") {
         None => RatingSource::Fair,
         Some(JsonScalar::Text(s)) if s == "fair" => RatingSource::Fair,
         Some(JsonScalar::Text(s)) if s == "unfair" => RatingSource::Unfair,
@@ -132,13 +148,61 @@ pub fn parse_submission_body(body: &str) -> Result<Vec<RatingSubmission>, (usize
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Ids out of domain: the exact failure classes of the ingest
+    /// bugfix, at the HTTP door.
+    const BAD_IDS: [&str; 5] = [
+        r#"{"rater":-1,"product":0,"day":0,"value":3}"#,
+        r#"{"rater":7.9,"product":0,"day":0,"value":3}"#,
+        r#"{"rater":4294968295,"product":0,"day":0,"value":3}"#,
+        r#"{"rater":1,"product":65536,"day":0,"value":3}"#,
+        r#"{"rater":1,"product":-2,"day":0,"value":3}"#,
+    ];
+
+    const BAD_DAYS_AND_VALUES: [&str; 3] = [
+        r#"{"rater":1,"product":0,"day":-0.5,"value":3}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":5.5}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":-1}"#,
+    ];
+
+    const BAD_TYPES: [&str; 5] = [
+        r#"{"rater":"1","product":0,"day":0,"value":3}"#,
+        r#"{"rater":1,"product":null,"day":0,"value":3}"#,
+        r#"{"rater":1,"product":0,"day":true,"value":3}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":3,"source":2}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":3,"source":"robot"}"#,
+    ];
+
+    /// A missing field, a typo'd field name, and an unknown field beside
+    /// a complete submission: none may pass.
+    const BAD_FIELDS: [&str; 3] = [
+        r#"{"rater":1,"product":0,"day":0}"#,
+        r#"{"rater":1,"produt":0,"day":0,"value":3}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":3,"note":"x"}"#,
+    ];
+
+    /// Every line these tests refuse; WAL replay must refuse them too.
+    pub(crate) fn rejected() -> impl Iterator<Item = &'static str> {
+        BAD_IDS
+            .into_iter()
+            .chain(BAD_DAYS_AND_VALUES)
+            .chain(BAD_TYPES)
+            .chain(BAD_FIELDS)
+    }
+
+    /// Lines the parser accepts, with and without each `source`.
+    pub(crate) const ACCEPTED: [&str; 4] = [
+        r#"{"rater":3,"product":1,"day":2.5,"value":4}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":5,"source":"unfair"}"#,
+        r#"{"rater":1,"product":0,"day":0,"value":5,"source":"fair"}"#,
+        r#"{"rater":7,"product":2,"day":1.25,"value":3.5}"#,
+    ];
 
     #[test]
     fn minimal_submission_parses() {
-        let s = parse_submission(r#"{"rater":3,"product":1,"day":2.5,"value":4}"#)
-            .expect("valid submission");
+        let s = parse_submission(ACCEPTED[0]).expect("valid submission");
         assert_eq!(s.rater, RaterId::new(3));
         assert_eq!(s.product, ProductId::new(1));
         assert_eq!(s.day.as_days(), 2.5);
@@ -148,69 +212,47 @@ mod tests {
 
     #[test]
     fn explicit_source_parses() {
-        let s = parse_submission(r#"{"rater":1,"product":0,"day":0,"value":5,"source":"unfair"}"#)
-            .expect("valid submission");
+        let s = parse_submission(ACCEPTED[1]).expect("valid submission");
         assert_eq!(s.source, RatingSource::Unfair);
-        let s = parse_submission(r#"{"rater":1,"product":0,"day":0,"value":5,"source":"fair"}"#)
-            .expect("valid submission");
+        let s = parse_submission(ACCEPTED[2]).expect("valid submission");
         assert_eq!(s.source, RatingSource::Fair);
     }
 
     #[test]
     fn id_domains_are_enforced_not_coerced() {
-        // The exact failure classes of the ingest bugfix, at the HTTP door.
-        let cases = [
-            r#"{"rater":-1,"product":0,"day":0,"value":3}"#,
-            r#"{"rater":7.9,"product":0,"day":0,"value":3}"#,
-            r#"{"rater":4294968295,"product":0,"day":0,"value":3}"#,
-            r#"{"rater":1,"product":65536,"day":0,"value":3}"#,
-            r#"{"rater":1,"product":-2,"day":0,"value":3}"#,
-        ];
-        for line in cases {
+        for line in BAD_IDS {
             assert!(parse_submission(line).is_err(), "accepted {line}");
         }
     }
 
     #[test]
     fn day_and_value_domains_are_enforced() {
-        for line in [
-            r#"{"rater":1,"product":0,"day":-0.5,"value":3}"#,
-            r#"{"rater":1,"product":0,"day":0,"value":5.5}"#,
-            r#"{"rater":1,"product":0,"day":0,"value":-1}"#,
-        ] {
+        for line in BAD_DAYS_AND_VALUES {
             assert!(parse_submission(line).is_err(), "accepted {line}");
         }
     }
 
     #[test]
     fn field_types_are_enforced() {
-        for line in [
-            r#"{"rater":"1","product":0,"day":0,"value":3}"#,
-            r#"{"rater":1,"product":null,"day":0,"value":3}"#,
-            r#"{"rater":1,"product":0,"day":true,"value":3}"#,
-            r#"{"rater":1,"product":0,"day":0,"value":3,"source":2}"#,
-            r#"{"rater":1,"product":0,"day":0,"value":3,"source":"robot"}"#,
-        ] {
+        for line in BAD_TYPES {
             assert!(parse_submission(line).is_err(), "accepted {line}");
         }
     }
 
     #[test]
     fn missing_and_unknown_fields_are_rejected() {
-        assert!(parse_submission(r#"{"rater":1,"product":0,"day":0}"#).is_err());
-        assert!(
-            parse_submission(r#"{"rater":1,"produt":0,"day":0,"value":3}"#).is_err(),
-            "typo'd field name must not pass"
-        );
+        for line in BAD_FIELDS {
+            assert!(parse_submission(line).is_err(), "accepted {line}");
+        }
     }
 
     #[test]
     fn to_jsonl_round_trips() {
-        let s = parse_submission(r#"{"rater":7,"product":2,"day":1.25,"value":3.5}"#)
-            .expect("valid submission");
-        let line = s.to_jsonl();
-        let back = parse_submission(&line).expect("round trip");
-        assert_eq!(s, back);
+        for line in ACCEPTED {
+            let s = parse_submission(line).expect("valid submission");
+            let back = parse_submission(&s.to_jsonl()).expect("round trip");
+            assert_eq!(s, back);
+        }
     }
 
     #[test]

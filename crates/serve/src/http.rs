@@ -666,6 +666,13 @@ mod tests {
         assert!(text.contains("\"error\":\"nope\""));
     }
 
+    #[test]
+    fn error_body_escapes_the_message() {
+        assert_eq!(Response::error(400, "x").body, b"{\"error\":\"x\"}\n");
+        let body = String::from_utf8(Response::error(400, "a\"b").body).unwrap();
+        assert!(body.contains("\\\""), "{body}");
+    }
+
     /// Mutates one spot of a valid request into garbage.
     fn corrupt(base: &[u8], rng: &mut Xoshiro256pp) -> Vec<u8> {
         let mut bytes = base.to_vec();

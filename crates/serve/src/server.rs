@@ -38,7 +38,7 @@
 use crate::dto::parse_submission_body;
 use crate::engine::Engine;
 use crate::http::{read_request, Method, Parsed, Request, Response};
-use rrs_core::io::{json_number, json_string, parse_product_id, parse_rater_id};
+use rrs_core::io::{json_number, parse_product_id, parse_rater_id};
 use rrs_obs::{rrs_info, rrs_warn};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
@@ -345,16 +345,6 @@ fn trust_line(view: &crate::engine::TrustView) -> String {
     )
 }
 
-/// Renders a JSON error body (shared with `Response::error` callers
-/// that need the raw string).
-#[must_use]
-pub fn error_body(message: &str) -> String {
-    let mut body = String::from("{\"error\":");
-    body.push_str(&json_string(message));
-    body.push_str("}\n");
-    body
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,11 +647,5 @@ mod tests {
         serving.join().expect("server thread").expect("server run");
         let _ = std::fs::remove_file(&addr_file);
         std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn error_body_helper_escapes() {
-        assert_eq!(error_body("x"), "{\"error\":\"x\"}\n");
-        assert!(error_body("a\"b").contains("\\\""));
     }
 }

@@ -22,7 +22,7 @@
 //! otherwise complete the fragment into a corrupt line. A *complete*
 //! line that fails to parse is corruption and refuses to load.
 
-use crate::dto::{parse_submission, RatingSubmission};
+use crate::dto::{submission_from_fields, RatingSubmission};
 use rrs_core::io::{jsonl_field, parse_jsonl_object, JsonScalar};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -68,24 +68,10 @@ impl WalEvent {
                 }
                 Ok(WalEvent::Epoch)
             }
+            // The submission DTO's own validator, so WAL replay
+            // enforces exactly the domains ingestion enforced.
             Some(JsonScalar::Text(kind)) if kind == "rating" => {
-                // Re-parse through the submission DTO so WAL replay
-                // enforces exactly the domains ingestion enforced.
-                let rest: Vec<String> = fields
-                    .iter()
-                    .filter(|(k, _)| k != "event")
-                    .map(|(k, v)| {
-                        let value = match v {
-                            JsonScalar::Number(raw) => raw.clone(),
-                            JsonScalar::Text(s) => rrs_core::io::json_string(s),
-                            JsonScalar::Bool(b) => b.to_string(),
-                            JsonScalar::Null => "null".to_string(),
-                        };
-                        format!("{}:{}", rrs_core::io::json_string(k), value)
-                    })
-                    .collect();
-                let line = format!("{{{}}}", rest.join(","));
-                parse_submission(&line).map(WalEvent::Rating)
+                submission_from_fields(&fields, Some("event")).map(WalEvent::Rating)
             }
             Some(JsonScalar::Text(kind)) => Err(format!("unknown event kind {kind:?}")),
             Some(_) => Err("field \"event\" must be a string".to_string()),
@@ -251,7 +237,7 @@ mod tests {
     }
 
     fn submission(line: &str) -> RatingSubmission {
-        parse_submission(line).expect("valid submission")
+        crate::dto::parse_submission(line).expect("valid submission")
     }
 
     #[test]
@@ -264,6 +250,22 @@ mod tests {
             WalEvent::from_jsonl("{\"event\":\"epoch\"}"),
             Ok(WalEvent::Epoch)
         );
+    }
+
+    #[test]
+    fn replay_enforces_exactly_the_submission_domains() {
+        let tagged = |line: &str| format!("{{\"event\":\"rating\",{}", &line[1..]);
+        for line in crate::dto::tests::rejected() {
+            assert!(
+                WalEvent::from_jsonl(&tagged(line)).is_err(),
+                "replayed {line}"
+            );
+        }
+        for line in crate::dto::tests::ACCEPTED {
+            let event = WalEvent::from_jsonl(&tagged(line)).expect("accepted line replays");
+            assert_eq!(event, WalEvent::Rating(submission(line)));
+            assert_eq!(WalEvent::from_jsonl(&event.to_jsonl()), Ok(event));
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ impl Error for ArError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArModel {
     coeffs: Vec<f64>,
-    mse: f64,
     normalized_error: f64,
 }
 
@@ -73,12 +72,6 @@ impl ArModel {
     #[must_use]
     pub fn order(&self) -> usize {
         self.coeffs.len()
-    }
-
-    /// Returns the mean squared prediction error.
-    #[must_use]
-    pub const fn mse(&self) -> f64 {
-        self.mse
     }
 
     /// Returns the prediction error normalized by the window variance.
@@ -124,7 +117,6 @@ pub fn fit_ar(x: &[f64], order: usize) -> Result<ArModel, ArError> {
     if var < 1e-12 {
         return Ok(ArModel {
             coeffs: vec![0.0; order],
-            mse: 0.0,
             normalized_error: 0.0,
         });
     }
@@ -179,7 +171,6 @@ pub fn fit_ar(x: &[f64], order: usize) -> Result<ArModel, ArError> {
     Ok(ArModel {
         normalized_error: (mse / var).max(0.0),
         coeffs,
-        mse,
     })
 }
 
@@ -209,7 +200,6 @@ mod tests {
     fn constant_signal_is_perfectly_predictable() {
         let m = fit_ar(&[3.0; 40], 4).unwrap();
         assert_eq!(m.normalized_error(), 0.0);
-        assert_eq!(m.mse(), 0.0);
         assert_eq!(m.order(), 4);
     }
 

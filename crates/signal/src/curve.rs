@@ -116,15 +116,6 @@ impl Curve {
         self.points.is_empty()
     }
 
-    /// Returns the maximum curve value, or `None` if empty.
-    #[must_use]
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.value)
-            .max_by(|a, b| a.total_cmp(b))
-    }
-
     /// Finds local maxima with value at least `min_height`, keeping only
     /// peaks separated by at least `min_separation` positions (greedy by
     /// height).
@@ -179,24 +170,9 @@ impl Curve {
         kept
     }
 
-    /// Finds U-shapes: consecutive peak pairs whose valley dips below
-    /// `valley_ratio` times the smaller framing peak.
-    ///
-    /// `min_height` and `min_separation` are forwarded to
-    /// [`Curve::find_peaks`].
-    #[must_use]
-    pub fn find_u_shapes(
-        &self,
-        min_height: f64,
-        min_separation: usize,
-        valley_ratio: f64,
-    ) -> Vec<UShape> {
-        self.u_shapes_between(&self.find_peaks(min_height, min_separation), valley_ratio)
-    }
-
-    /// [`find_u_shapes`](Self::find_u_shapes) from peaks the caller has
-    /// already computed with the same height/separation parameters —
-    /// avoids scanning the curve for peaks a second time.
+    /// Finds U-shapes: consecutive pairs of `peaks` (as returned by
+    /// [`Curve::find_peaks`]) whose valley dips below `valley_ratio`
+    /// times the smaller framing peak.
     #[must_use]
     pub fn u_shapes_between(&self, peaks: &[Peak], valley_ratio: f64) -> Vec<UShape> {
         let mut out = Vec::new();
@@ -368,7 +344,6 @@ mod tests {
     fn empty_curve() {
         let c = Curve::default();
         assert!(c.is_empty());
-        assert_eq!(c.max_value(), None);
         assert!(c.find_peaks(0.0, 1).is_empty());
     }
 
@@ -430,7 +405,7 @@ mod tests {
     #[test]
     fn u_shape_between_two_peaks() {
         let c = curve_from(&[0.0, 5.0, 0.5, 0.2, 0.5, 6.0, 0.0]);
-        let us = c.find_u_shapes(1.0, 1, 0.5);
+        let us = c.u_shapes_between(&c.find_peaks(1.0, 1), 0.5);
         assert_eq!(us.len(), 1);
         let u = us[0];
         assert_eq!(u.left.position, 1);
@@ -443,7 +418,7 @@ mod tests {
     #[test]
     fn shallow_valley_is_not_a_u_shape() {
         let c = curve_from(&[0.0, 5.0, 4.8, 5.0, 0.0]);
-        let us = c.find_u_shapes(1.0, 1, 0.5);
+        let us = c.u_shapes_between(&c.find_peaks(1.0, 1), 0.5);
         assert!(us.is_empty());
     }
 

@@ -42,8 +42,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the rows are not all of length `rows.len()`.
-    #[must_use]
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    #[cfg(test)]
+    fn from_rows(rows: &[Vec<f64>]) -> Self {
         let n = rows.len();
         let mut m = Matrix::zeros(n);
         for (i, row) in rows.iter().enumerate() {
@@ -53,12 +53,6 @@ impl Matrix {
             }
         }
         m
-    }
-
-    /// Returns the dimension.
-    #[must_use]
-    pub const fn dim(&self) -> usize {
-        self.n
     }
 
     /// Solves `self · x = b` by Gaussian elimination with partial
@@ -71,7 +65,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `b.len() != self.dim()`.
+    /// Panics if `b.len()` differs from the matrix dimension.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SingularMatrix> {
         let n = self.n;
         assert_eq!(b.len(), n, "dimension mismatch");

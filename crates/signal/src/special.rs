@@ -185,12 +185,6 @@ pub fn reg_inc_beta_inv(a: f64, b: f64, p: f64) -> f64 {
     x
 }
 
-/// Mean of a Beta(a, b) distribution.
-#[must_use]
-pub fn beta_mean(a: f64, b: f64) -> f64 {
-    a / (a + b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,12 +253,6 @@ mod tests {
         assert!((reg_inc_beta_inv(1.0, 1.0, 0.42) - 0.42).abs() < 1e-9);
         assert_eq!(reg_inc_beta_inv(3.0, 4.0, 0.0), 0.0);
         assert_eq!(reg_inc_beta_inv(3.0, 4.0, 1.0), 1.0);
-    }
-
-    #[test]
-    fn beta_mean_basic() {
-        assert_eq!(beta_mean(2.0, 2.0), 0.5);
-        assert_eq!(beta_mean(1.0, 3.0), 0.25);
     }
 
     props! {

@@ -7,16 +7,11 @@
 //! `f` were marked suspicious accumulates `S += n − f` successes and
 //! `F += f` failures, and their trust is `(S + 1) / (S + F + 2)` — the mean
 //! of a Beta(S+1, F+1) distribution (Jøsang–Ismail beta reputation).
-//!
-//! [`framework`] carries the simplified generic trust-establishment
-//! operators (concatenation along a path, fusion across paths) from
-//! Sun & Yang, ICC'07, which the paper's trust manager specializes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod beta;
-pub mod framework;
 mod manager;
 
 pub use beta::BetaTrust;

@@ -36,7 +36,7 @@ pub struct TrustUpdate {
     pub ratings: usize,
     /// Total ratings that were marked suspicious.
     pub suspicious: usize,
-    /// Before/after records for raters that had suspicious ratings.
+    /// Before/after records, in ascending rater order, for raters with suspicious ratings.
     pub deltas: Vec<TrustDelta>,
 }
 
@@ -311,6 +311,27 @@ mod tests {
         assert_eq!(up.suspicious, 5);
         // S=5, F=5 => 6/12 = 0.5.
         assert!((m.trust_of(RaterId::new(3)) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deltas_come_one_per_marked_rater_in_rater_order() {
+        // Decision records look deltas up by binary search, so the order
+        // is part of the contract.
+        let mut d = RatingDataset::new();
+        let mut marked = BTreeSet::new();
+        for (day, rater) in [9u32, 4, 7, 4, 1, 9].into_iter().enumerate() {
+            let id = d.insert(
+                rating(rater, (day % 2) as u16, day as f64, 1.0),
+                RatingSource::Unfair,
+            );
+            if rater != 7 {
+                marked.insert(id);
+            }
+        }
+        let mut m = TrustManager::new();
+        let up = m.update_epoch(&d, window(0.0, 30.0), &marked);
+        let raters: Vec<u32> = up.deltas.iter().map(|d| d.rater.value()).collect();
+        assert_eq!(raters, vec![1, 4, 9]);
     }
 
     #[test]

@@ -11,10 +11,12 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --workspace --offline
 cargo fmt --check
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Static analysis: the committed tree must be lint-clean (exit 0) under
-# all three workspace passes (determinism sanitizer, layering DAG,
-# API-surface lock), and every seeded violation fixture must be caught
+# all four workspace passes (determinism sanitizer, layering DAG,
+# API-surface lock, dead public items), and every seeded violation
+# fixture must be caught
 # (exit 1). The fixtures double as an end-to-end self-test of the
 # binary, not just the library.
 target/release/rrs-lint
