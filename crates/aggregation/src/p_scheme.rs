@@ -17,6 +17,10 @@
 //!
 //! [`PSchemeState`] runs steps 1–2 per period and 3–4 per product, for
 //! [`PScheme::evaluate`] and for the serving engine (`rrs-serve`) alike.
+//! Only the trust records and the suspicion set carry from one epoch to
+//! the next: step 1 re-detects over all data seen so far, so the
+//! detector's rolling state is a cache, rebuilt from the data by the
+//! first step after a restore.
 
 use crate::filter::filter_ratings;
 use crate::weighted::weighted_aggregate;
@@ -129,9 +133,12 @@ impl AggregationScheme for PScheme {
     }
 }
 
-/// The P-scheme between epochs: the joint detector's rolling state, the
-/// trust records and the last epoch's suspicion set. The accessors and
-/// [`PSchemeState::restore`] take it apart and put it back together.
+/// The P-scheme between epochs: the trust records and the last epoch's
+/// suspicion set, which carry the scheme from one epoch to the next, and
+/// the joint detector's rolling state, a cache of the detection over the
+/// data seen so far. The accessors and [`PSchemeState::restore`] take the
+/// records and the set out and put them back; the cache is never taken
+/// out, and a restored state rebuilds it in its first step.
 #[derive(Debug)]
 pub struct PSchemeState {
     config: PSchemeConfig,
@@ -146,27 +153,20 @@ impl PSchemeState {
     /// history, nothing marked.
     #[must_use]
     pub fn new(config: PSchemeConfig) -> Self {
-        PSchemeState::restore(
-            config,
-            TrustManager::new(),
-            OnlineState::new(),
-            BTreeSet::new(),
-        )
+        PSchemeState::restore(config, TrustManager::new(), BTreeSet::new())
     }
 
-    /// A state rebuilt from the parts its accessors returned.
+    /// A state rebuilt from the trust records and the suspicion set its
+    /// accessors returned. The detector cache starts empty: the first
+    /// step rebuilds it from the dataset in one full pass, and detects
+    /// exactly what the state that saw every earlier epoch would.
     #[must_use]
-    pub fn restore(
-        config: PSchemeConfig,
-        trust: TrustManager,
-        online: OnlineState,
-        marks: BTreeSet<RatingId>,
-    ) -> Self {
+    pub fn restore(config: PSchemeConfig, trust: TrustManager, marks: BTreeSet<RatingId>) -> Self {
         PSchemeState {
             config,
             detector: JointDetector::new(config.detectors),
             trust,
-            online,
+            online: OnlineState::new(),
             marks,
         }
     }
@@ -257,12 +257,6 @@ impl PSchemeState {
     #[must_use]
     pub const fn trust(&self) -> &TrustManager {
         &self.trust
-    }
-
-    /// The detector's rolling state.
-    #[must_use]
-    pub const fn online(&self) -> &OnlineState {
-        &self.online
     }
 
     /// The ratings the last step marked.

@@ -73,7 +73,7 @@ pub fn apply_global_flags(tokens: &[String]) -> Result<Vec<String>, CommandError
             "--verbosity" => {
                 let raw = iter
                     .next()
-                    .ok_or_else(|| String::from("--verbosity needs a value (0-3)"))?;
+                    .ok_or_else(|| String::from("--verbosity needs a value (0-2)"))?;
                 let v: u8 = raw
                     .parse()
                     .map_err(|e| format!("--verbosity {raw:?}: {e}"))?;
@@ -108,7 +108,7 @@ USAGE:
 
 GLOBAL FLAGS (any command):
   --quiet          errors only
-  --verbosity N    0 = errors .. 3 = debug (default 2)
+  --verbosity N    0 = errors .. 2 = info (default 2)
 Setting RRS_TRACE=1 enables span/metric collection in any command
 except `serve`, which always collects metrics only.
 
@@ -943,14 +943,14 @@ mod tests {
         let _guard = rrs_obs::trace::tests_lock();
         let err = run(
             "generate",
-            &["--quiet".into(), "--verbosity".into(), "3".into()],
+            &["--quiet".into(), "--verbosity".into(), "1".into()],
         )
         .unwrap_err()
         .to_string();
         // --quiet and --verbosity must not reach the subcommand parser;
         // the failure is the missing --out, nothing else.
         assert!(err.contains("--out"), "{err}");
-        assert_eq!(rrs_obs::log::verbosity(), Level::Debug);
+        assert_eq!(rrs_obs::log::verbosity(), Level::Warn);
         rrs_obs::log::set_verbosity(Level::Info);
     }
 

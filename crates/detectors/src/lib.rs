@@ -43,8 +43,5 @@ pub use hc::{HcConfig, HcOutcome};
 pub use integrate::{Band, DetectionResult, DetectorVerdictSummary, JointDetector, PathHit};
 pub use mc::{McConfig, McOutcome};
 pub use me::{MeConfig, MeOutcome};
-pub use online::{
-    ArcBandSnapshot, CurveCursorSnapshot, CurvePointSnapshot, OnlineSnapshot, OnlineState,
-    ProductSnapshot,
-};
+pub use online::OnlineState;
 pub use suspicion::{SuspicionKind, SuspiciousInterval};

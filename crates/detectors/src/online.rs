@@ -35,8 +35,7 @@
 //! batch code, *shared* with this path (see [`crate::mc::judge_segments`]
 //! and friends), which is what makes the agreement exact rather than
 //! approximate: the oracle property tests in this module assert
-//! `DetectionResult` equality epoch by epoch, and `scripts/verify.sh`
-//! byte-diffs whole report trees between the two modes.
+//! `DetectionResult` equality with batch detection epoch by epoch.
 //!
 //! Each detector keeps its curve points in one buffer shared with the
 //! curves it hands out (`Arc<Vec<CurvePoint>>` inside
@@ -57,10 +56,14 @@
 //! calls: an epoch loop that knows which raters' trust changed since the
 //! last call declares them ([`OnlineState::declare_trust_changes`]), and
 //! the next call then resolves only those raters and the raters it sees
-//! for the first time. Like the sorted mirror, the index, the slot
-//! values and the slot columns are derived state: they stay out of
-//! [`OnlineSnapshot`] and are re-derived from the timelines after a
-//! restore.
+//! for the first time.
+//!
+//! The whole state is a cache: each part of it is a function of the
+//! prefixes it was fed and of the trust it last resolved, so none of it
+//! is ever persisted. A fresh state's first call builds every part from
+//! the timelines in one full pass and returns exactly what a state that
+//! saw every earlier epoch returns; a restarted server's first epoch
+//! pays that pass once.
 //!
 //! The cache trusts its caller to feed it *prefix views of one growing
 //! stream* (the epoch loop's shape). Every absorb re-checks the cheap
@@ -98,8 +101,8 @@ pub struct OnlineState {
 
 /// Dense index over every rater the state has seen: slot `s` names
 /// `raters[s]`, whose trust under the last call's trust function is
-/// `trust[s]`. Derived state, never part of a snapshot; a restored state
-/// rebuilds it from the timelines of its first epoch.
+/// `trust[s]`. A fresh state builds it from the timelines of its first
+/// call.
 #[derive(Debug, Default)]
 struct RaterIndex {
     slot_of: BTreeMap<RaterId, u32>,
@@ -205,199 +208,6 @@ impl OnlineState {
             .get_or_insert_with(Vec::new)
             .extend(raters);
     }
-
-    /// Captures a self-contained, bit-exact image of the rolling state.
-    ///
-    /// Every `f64` is carried as its bit pattern, so the image survives
-    /// any text round trip without rounding. Structures that are pure
-    /// functions of the captured ones or of the timelines — the stream
-    /// prefix sums, the sorted mirror, HC's sliding window multiset, the
-    /// rater index and slot columns — are *not* stored;
-    /// [`OnlineState::restore`] rebuilds them by replaying the exact
-    /// push/sort operations the live path uses, which keeps the image
-    /// minimal without costing a single bit of fidelity. The resolved
-    /// trust values and any pending declaration are not stored either: a
-    /// restored state's first call resolves every rater afresh. Of each
-    /// detector's curve buffer only the settled points are stored, not
-    /// the live tail the last curve carried.
-    #[must_use]
-    pub fn snapshot(&self) -> OnlineSnapshot {
-        let products = self
-            .products
-            .iter()
-            .map(|(&product, state)| ProductSnapshot {
-                product,
-                values_bits: state.cache.values.iter().map(|v| v.to_bits()).collect(),
-                times_bits: state.cache.times.iter().map(|t| t.to_bits()).collect(),
-                start_bits: state.cache.start_bits,
-                end_bits: state.cache.end_days.to_bits(),
-                mc: CurveCursorSnapshot {
-                    settled: snapshot_points(state.mc.settled.points()),
-                    scan_from: state.mc.scan_from as u64,
-                },
-                harc: snapshot_arc_band(&state.harc),
-                larc: snapshot_arc_band(&state.larc),
-                hc: CurveCursorSnapshot {
-                    settled: snapshot_points(state.hc.settled.points()),
-                    scan_from: state.hc.next_start as u64,
-                },
-                me: CurveCursorSnapshot {
-                    settled: snapshot_points(state.me.settled.points()),
-                    scan_from: state.me.next_start as u64,
-                },
-            })
-            .collect();
-        OnlineSnapshot { products }
-    }
-
-    /// Rebuilds rolling state from a [`snapshot`](OnlineState::snapshot).
-    ///
-    /// The restored state is observably identical to the captured one:
-    /// feeding both the same future epochs produces bit-identical
-    /// [`DetectionResult`]s (the crash-replay tests in `rrs-serve` and
-    /// the round-trip tests below lock this). `snapshot()` of the
-    /// restored state equals the input image.
-    #[must_use]
-    pub fn restore(snapshot: &OnlineSnapshot) -> Self {
-        let mut products = BTreeMap::new();
-        for p in &snapshot.products {
-            let mut cache = StreamCache {
-                start_bits: p.start_bits,
-                end_days: f64::from_bits(p.end_bits),
-                ..StreamCache::default()
-            };
-            for (&v, &t) in p.values_bits.iter().zip(&p.times_bits) {
-                cache.push(f64::from_bits(v), f64::from_bits(t));
-            }
-            let state = ProductState {
-                cache,
-                mc: McState {
-                    settled: SettledCurve::restore(&p.mc.settled),
-                    scan_from: p.mc.scan_from as usize,
-                },
-                harc: restore_arc_band(&p.harc),
-                larc: restore_arc_band(&p.larc),
-                // HC's sliding sorted multiset is deliberately left
-                // empty: `slide_sorted_window` falls back to a from-
-                // scratch sort, whose result is bit-identical to the
-                // slid one (same multiset, same `total_cmp` order).
-                hc: HcWindowState {
-                    settled: SettledCurve::restore(&p.hc.settled),
-                    next_start: p.hc.scan_from as usize,
-                    sorted: Vec::new(),
-                    prev_start: None,
-                },
-                me: WindowedState {
-                    settled: SettledCurve::restore(&p.me.settled),
-                    next_start: p.me.scan_from as usize,
-                },
-            };
-            products.insert(p.product, Box::new(state));
-        }
-        OnlineState {
-            products,
-            raters: RaterIndex::default(),
-        }
-    }
-}
-
-/// A settled indicator-curve point in snapshot form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CurvePointSnapshot {
-    /// Rating index the point was computed at.
-    pub index: u64,
-    /// Bit pattern of the point's time (days).
-    pub time_bits: u64,
-    /// Bit pattern of the indicator value.
-    pub value_bits: u64,
-}
-
-/// Settled points plus the scan cursor of one detector.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CurveCursorSnapshot {
-    /// Points that no future arrival can change.
-    pub settled: Vec<CurvePointSnapshot>,
-    /// First unsettled index (ratings for MC, window starts for HC/ME).
-    pub scan_from: u64,
-}
-
-/// One H-ARC/L-ARC band in snapshot form.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ArcBandSnapshot {
-    /// Daily in-band arrival counts over the horizon.
-    pub counts: Vec<u32>,
-    /// Entries already folded into `counts`.
-    pub absorbed: u64,
-    /// Bit pattern of the stream median the band was built under.
-    pub median_bits: Option<u64>,
-    /// Settled curve points and the first unsettled day index.
-    pub cursor: CurveCursorSnapshot,
-}
-
-/// One product's rolling state in snapshot form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProductSnapshot {
-    /// The product this slot tracks.
-    pub product: ProductId,
-    /// Bit patterns of the cached stream values, in arrival order.
-    pub values_bits: Vec<u64>,
-    /// Bit patterns of the cached stream times, in arrival order.
-    pub times_bits: Vec<u64>,
-    /// Bit pattern of the horizon start offsets were computed from.
-    pub start_bits: u64,
-    /// Bit pattern of the last absorbed horizon end (days).
-    pub end_bits: u64,
-    /// MC settled points and cursor.
-    pub mc: CurveCursorSnapshot,
-    /// High-band ARC state.
-    pub harc: ArcBandSnapshot,
-    /// Low-band ARC state.
-    pub larc: ArcBandSnapshot,
-    /// HC settled points and next window start.
-    pub hc: CurveCursorSnapshot,
-    /// ME settled points and next window start.
-    pub me: CurveCursorSnapshot,
-}
-
-/// Self-contained, bit-exact image of an [`OnlineState`], suitable for
-/// durable checkpointing (see `rrs-serve`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OnlineSnapshot {
-    /// Per-product images, in product order.
-    pub products: Vec<ProductSnapshot>,
-}
-
-fn snapshot_points(points: &[CurvePoint]) -> Vec<CurvePointSnapshot> {
-    points
-        .iter()
-        .map(|p| CurvePointSnapshot {
-            index: p.index as u64,
-            time_bits: p.time.to_bits(),
-            value_bits: p.value.to_bits(),
-        })
-        .collect()
-}
-
-fn snapshot_arc_band(band: &ArcBandState) -> ArcBandSnapshot {
-    ArcBandSnapshot {
-        counts: band.counts.clone(),
-        absorbed: band.absorbed as u64,
-        median_bits: band.median_bits,
-        cursor: CurveCursorSnapshot {
-            settled: snapshot_points(band.settled.points()),
-            scan_from: band.scan_from as u64,
-        },
-    }
-}
-
-fn restore_arc_band(snapshot: &ArcBandSnapshot) -> ArcBandState {
-    ArcBandState {
-        counts: snapshot.counts.clone(),
-        absorbed: snapshot.absorbed as usize,
-        median_bits: snapshot.median_bits,
-        settled: SettledCurve::restore(&snapshot.cursor.settled),
-        scan_from: snapshot.cursor.scan_from as usize,
-    }
 }
 
 /// One detector's curve buffer, shared with the curves it hands out:
@@ -410,21 +220,6 @@ struct SettledCurve {
 }
 
 impl SettledCurve {
-    fn restore(points: &[CurvePointSnapshot]) -> Self {
-        let buf: Vec<CurvePoint> = points
-            .iter()
-            .map(|p| CurvePoint {
-                index: p.index as usize,
-                time: f64::from_bits(p.time_bits),
-                value: f64::from_bits(p.value_bits),
-            })
-            .collect();
-        SettledCurve {
-            len: buf.len(),
-            buf: Arc::new(buf),
-        }
-    }
-
     /// The settled points.
     fn points(&self) -> &[CurvePoint] {
         &self.buf[..self.len]
@@ -540,8 +335,8 @@ impl StreamCache {
 
     /// Brings `slots` to one rater slot per timeline entry; only entries
     /// past the column cost an index lookup. A column that no longer
-    /// covers the cached stream (after a restore) or whose tail no
-    /// longer matches the timeline is derived again from the start.
+    /// covers the cached stream or whose tail no longer matches the
+    /// timeline is derived again from the start.
     fn top_up_slots(&mut self, timeline: TimelineView<'_>, index: &mut RaterIndex) {
         let n = self.slots.len();
         let current = n == self.values.len()
@@ -1421,28 +1216,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_bit_exactly() {
-        let mut d = fair_dataset(10);
-        add_burst(&mut d, 40.0, 12, 5, 0.8);
-        let detector = JointDetector::default();
-        let mut state = OnlineState::new();
-        for &end in &[30.0, 60.0] {
-            let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
-            let prefix = d.prefix_view(window);
-            detector.detect_all_online(&prefix, window, trust_fn, &mut state);
-        }
-        let image = state.snapshot();
-        let restored = OnlineState::restore(&image);
-        // The image is a fixed point: capture(restore(x)) == x.
-        assert_eq!(restored.snapshot(), image);
-        assert_eq!(restored.products.len(), state.products.len());
-    }
-
-    #[test]
-    fn restored_state_continues_identically() {
-        // Epochs continued from a restored state must produce the same
-        // bits as epochs continued from the live state — the property
-        // crash recovery in rrs-serve stands on.
+    fn a_fresh_state_joining_late_agrees_with_the_live_one() {
+        // A state that starts at a late horizon builds its cache from the
+        // timelines in one pass and must produce the same bits as the
+        // state that saw every earlier epoch: the property a restarted
+        // server's first epoch stands on.
         let mut d = fair_dataset(11);
         add_burst(&mut d, 40.0, 12, 6, 0.5);
         let detector = JointDetector::default();
@@ -1452,13 +1230,9 @@ mod tests {
             let prefix = d.prefix_view(window);
             detector.detect_all_online(&prefix, window, trust_fn, &mut live);
         }
-        let mut restored = OnlineState::restore(&live.snapshot());
-        // The slot columns are derived state: the restored ones start
-        // empty and are re-derived by the next epoch, in which the
-        // stream median moves, so the ARC bands re-band through the
-        // rebuilt sorted mirror at the same time.
-        assert!(restored.products.values().all(|p| p.cache.slots.is_empty()));
-        assert!(live.products.values().all(|p| !p.cache.slots.is_empty()));
+        let mut fresh = OnlineState::new();
+        // The stream median moves at the join, so the live state's ARC
+        // bands re-band history while the fresh state's are built once.
         let thresholds = |end: f64| {
             let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
             let prefix = d.prefix_view(window);
@@ -1471,13 +1245,16 @@ mod tests {
             let prefix = d.prefix_view(window);
             let (live_marks, live_results) =
                 detector.detect_all_online(&prefix, window, trust_fn, &mut live);
-            let (rest_marks, rest_results) =
-                detector.detect_all_online(&prefix, window, trust_fn, &mut restored);
-            assert_eq!(live_marks, rest_marks, "marks diverged at end={end}");
-            assert_eq!(live_results, rest_results, "results diverged at end={end}");
+            let (fresh_marks, fresh_results) =
+                detector.detect_all_online(&prefix, window, trust_fn, &mut fresh);
+            assert_eq!(live_marks, fresh_marks, "marks diverged at end={end}");
+            assert_eq!(live_results, fresh_results, "results diverged at end={end}");
+            assert_eq!(
+                settled_points(&live),
+                settled_points(&fresh),
+                "settled points diverged at end={end}"
+            );
         }
-        // And the states themselves remain interchangeable afterwards.
-        assert_eq!(live.snapshot(), restored.snapshot());
     }
 
     /// Continuous values uniform over the whole scale, so both band
@@ -1571,15 +1348,38 @@ mod tests {
         }
     }
 
-    /// Every curve buffer of one product's state.
-    fn curve_buffers(state: &ProductState) -> [&Arc<Vec<CurvePoint>>; 5] {
+    /// Every detector's curve buffer of one product's state.
+    fn curves(state: &ProductState) -> [&SettledCurve; 5] {
         [
-            &state.mc.settled.buf,
-            &state.harc.settled.buf,
-            &state.larc.settled.buf,
-            &state.hc.settled.buf,
-            &state.me.settled.buf,
+            &state.mc.settled,
+            &state.harc.settled,
+            &state.larc.settled,
+            &state.hc.settled,
+            &state.me.settled,
         ]
+    }
+
+    /// Each detector's settled points as `(index, time, value)` bits.
+    type SettledBits = Vec<Vec<(usize, u64, u64)>>;
+
+    /// Every detector's settled points, by product.
+    fn settled_points(state: &OnlineState) -> Vec<(ProductId, SettledBits)> {
+        state
+            .products
+            .iter()
+            .map(|(&pid, p)| {
+                let points = curves(p)
+                    .iter()
+                    .map(|c| {
+                        c.points()
+                            .iter()
+                            .map(|q| (q.index, q.time.to_bits(), q.value.to_bits()))
+                            .collect()
+                    })
+                    .collect();
+                (pid, points)
+            })
+            .collect()
     }
 
     props! {
@@ -1589,12 +1389,12 @@ mod tests {
             seed in 0u64..64,
             burst_days in 0usize..10,
             burst_value in 0.0f64..5.0,
-            restore_at in 4u32..28,
+            restart_at in 4u32..28,
         ) {
             // One caller keeps every result, so each epoch's buffers are
             // still shared when the next epoch appends; the other drops
             // each result at once. The medians move (so ARC re-bands cut
-            // settled points) and both states are restored mid-run.
+            // settled points) and both states restart fresh mid-run.
             let mut d = continuous_dataset(seed);
             if burst_days > 0 {
                 add_burst(&mut d, 40.0, burst_days, 5, burst_value);
@@ -1610,9 +1410,9 @@ mod tests {
                 let end = f64::from(step) * 3.0;
                 let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
                 let prefix = d.prefix_view(window);
-                if step == restore_at {
-                    keeper = OnlineState::restore(&keeper.snapshot());
-                    dropper = OnlineState::restore(&dropper.snapshot());
+                if step == restart_at {
+                    keeper = OnlineState::new();
+                    dropper = OnlineState::new();
                 }
                 let batch = detector.detect_all(&prefix, window, trust_fn);
                 let held = detector.detect_all_online(&prefix, window, trust_fn, &mut keeper);
@@ -1625,16 +1425,16 @@ mod tests {
                 prop_assert!(dropper
                     .products
                     .values()
-                    .all(|p| curve_buffers(p).iter().all(|b| Arc::strong_count(b) == 1)));
+                    .all(|p| curves(p).iter().all(|c| Arc::strong_count(&c.buf) == 1)));
                 shared_epochs += usize::from(
                     keeper
                         .products
                         .values()
-                        .any(|p| curve_buffers(p).iter().any(|b| Arc::strong_count(b) > 1)),
+                        .any(|p| curves(p).iter().any(|c| Arc::strong_count(&c.buf) > 1)),
                 );
                 prop_assert!(
-                    keeper.snapshot() == dropper.snapshot(),
-                    "snapshots diverged at end={end}"
+                    settled_points(&keeper) == settled_points(&dropper),
+                    "settled points diverged at end={end}"
                 );
                 if let Some(previous) = &previous {
                     flips += band_changes(previous, &prefix);
@@ -1808,10 +1608,10 @@ mod tests {
     }
 
     #[test]
-    fn restored_state_resolves_every_rater_before_patching() {
-        // The trust column is derived state: a restored state holds
-        // none, so its first call resolves everyone even with a
-        // declaration pending, and agrees with the live state.
+    fn fresh_state_resolves_every_rater_before_patching() {
+        // A fresh state holds no trust column, so its first call
+        // resolves everyone even with a declaration pending, and agrees
+        // with the live state.
         let mut d = fair_dataset(15);
         add_burst(&mut d, 40.0, 12, 5, 0.8);
         let detector = JointDetector::default();
@@ -1821,19 +1621,18 @@ mod tests {
             let prefix = d.prefix_view(window);
             detector.detect_all_online(&prefix, window, trust_fn, &mut live);
         }
-        let mut restored = OnlineState::restore(&live.snapshot());
-        assert!(restored.raters.trust.is_empty());
+        let mut fresh = OnlineState::new();
         for &end in &[75.0, 90.0] {
             let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
             let prefix = d.prefix_view(window);
             live.declare_trust_changes([]);
-            restored.declare_trust_changes([]);
+            fresh.declare_trust_changes([]);
             let (live_marks, live_results) =
                 detector.detect_all_online(&prefix, window, trust_fn, &mut live);
-            let (rest_marks, rest_results) =
-                detector.detect_all_online(&prefix, window, trust_fn, &mut restored);
-            assert_eq!(live_marks, rest_marks, "marks diverged at end={end}");
-            assert_eq!(live_results, rest_results, "results diverged at end={end}");
+            let (fresh_marks, fresh_results) =
+                detector.detect_all_online(&prefix, window, trust_fn, &mut fresh);
+            assert_eq!(live_marks, fresh_marks, "marks diverged at end={end}");
+            assert_eq!(live_results, fresh_results, "results diverged at end={end}");
             // Slots are numbered in first-seen order, which differs
             // between the two; the values by rater must not.
             let by_rater = |state: &OnlineState| -> BTreeMap<RaterId, u64> {
@@ -1845,7 +1644,7 @@ mod tests {
                     .map(|(&r, t)| (r, t.to_bits()))
                     .collect()
             };
-            assert_eq!(by_rater(&live), by_rater(&restored));
+            assert_eq!(by_rater(&live), by_rater(&fresh));
         }
     }
 

@@ -22,10 +22,12 @@ pub fn write_jsonl<W: Write>(records: &[DecisionRecord], mut writer: W) -> std::
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Propagates filesystem errors, including those of the final flush.
 pub fn write_trace_file(path: &std::path::Path, records: &[DecisionRecord]) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_jsonl(records, std::io::BufWriter::new(file))
+    let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write_jsonl(records, &mut writer)?;
+    // Dropping a `BufWriter` would discard this write's error.
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -79,5 +81,15 @@ mod tests {
         let read = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(read, jsonl(&[tiny(7)]));
+    }
+
+    #[test]
+    fn a_failed_final_write_is_reported() {
+        // The record fits in the buffer, so only the final flush reaches
+        // the device, and every write to /dev/full fails.
+        let full = std::path::Path::new("/dev/full");
+        if full.exists() {
+            assert!(write_trace_file(full, &[tiny(7)]).is_err());
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! * [`recorder`] — a bounded anomaly flight recorder: per-product
 //!   rings of recent decision records plus span context, snapshotted
 //!   into a dump whenever a detector fires.
-//! * [`log`] — a leveled logger (error/warn/info/debug) for CLI output,
+//! * [`log`] — a leveled logger (error/warn/info) for CLI output,
 //!   controlled by `--quiet`/`--verbosity`.
 //!
 //! # Enablement and cost

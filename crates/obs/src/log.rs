@@ -3,8 +3,8 @@
 //! Independent of the tracing switch: logging is gated only by a global
 //! verbosity level (default [`Level::Info`]), set from `--quiet` /
 //! `--verbosity N` by the CLI. Errors and warnings go to stderr, info
-//! and debug to stdout — matching what the bare `println!`/`eprintln!`
-//! calls this replaces used to do.
+//! to stdout — matching what the bare `println!`/`eprintln!` calls this
+//! replaces used to do.
 //!
 //! Use through the [`rrs_error!`](crate::rrs_error),
 //! [`rrs_warn!`](crate::rrs_warn) and [`rrs_info!`](crate::rrs_info)
@@ -23,20 +23,17 @@ pub enum Level {
     Warn = 1,
     /// Normal command output (stdout, the default level).
     Info = 2,
-    /// Diagnostic detail such as stage timings (stdout).
-    Debug = 3,
 }
 
 impl Level {
-    /// Parses a numeric verbosity (0 = errors only … 3 = debug),
-    /// clamping values above 3 to [`Level::Debug`].
+    /// Parses a numeric verbosity (0 = errors only … 2 = info),
+    /// clamping values above 2 to [`Level::Info`].
     #[must_use]
     pub fn from_verbosity(v: u8) -> Self {
         match v {
             0 => Level::Error,
             1 => Level::Warn,
-            2 => Level::Info,
-            _ => Level::Debug,
+            _ => Level::Info,
         }
     }
 }
@@ -79,9 +76,6 @@ pub fn log(level: Level, args: std::fmt::Arguments<'_>) {
         }
         Level::Info => {
             let _ = writeln!(std::io::stdout().lock(), "{args}");
-        }
-        Level::Debug => {
-            let _ = writeln!(std::io::stdout().lock(), "debug: {args}");
         }
     }
 }
@@ -128,15 +122,15 @@ mod tests {
         assert!(enabled_for(Level::Error));
         assert!(enabled_for(Level::Warn));
         assert!(!enabled_for(Level::Info));
-        assert!(!enabled_for(Level::Debug));
         set_verbosity(Level::Info);
     }
 
     #[test]
     fn numeric_verbosity_clamps() {
         assert_eq!(Level::from_verbosity(0), Level::Error);
+        assert_eq!(Level::from_verbosity(1), Level::Warn);
         assert_eq!(Level::from_verbosity(2), Level::Info);
-        assert_eq!(Level::from_verbosity(9), Level::Debug);
+        assert_eq!(Level::from_verbosity(9), Level::Info);
     }
 
     #[test]

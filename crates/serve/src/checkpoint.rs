@@ -1,33 +1,37 @@
-//! Atomic checkpoint/restore of the engine's derived state.
+//! Atomic checkpoint/restore of what the WAL cannot rebuild.
 //!
-//! A checkpoint captures everything the engine computed *from* the WAL
-//! — the trust table, the current suspicion set, the online detector
-//! state, and how many WAL events that state reflects — so recovery
-//! replays only the WAL suffix instead of re-running every epoch from
-//! the beginning of time. The dataset itself is never checkpointed: it
-//! is always rebuilt from the full WAL, which keeps rating-id
-//! assignment (insertion order) trivially identical to the original
-//! run.
+//! The P-scheme carries two things from one epoch to the next: each
+//! rater's beta record (Procedure 1) and the suspicion set. A checkpoint
+//! stores those, plus the epoch count and how many WAL events they
+//! reflect, so recovery replays only the epochs of the WAL suffix
+//! instead of re-running every epoch from the beginning of time.
+//! Nothing else is stored:
 //!
-//! Fidelity is bit-level. Every `f64` is stored as its
-//! [`f64::to_bits`] pattern; arrays of bit patterns are hex-encoded in
-//! fixed-width columns (16 nibbles per `u64`, 8 per `u32`) because the
-//! flat-JSONL dialect the workspace shares has scalar fields only.
-//! A restored engine's next epoch is byte-identical to the epoch an
-//! uninterrupted engine would have run — the crash-replay suite holds
-//! that equality at multiple thread counts.
+//! * The dataset is rebuilt from the full WAL, which keeps rating-id
+//!   assignment (insertion order) trivially identical to the original
+//!   run.
+//! * The online detector state is a cache over that dataset. The first
+//!   epoch after a restart rebuilds it in one full pass and detects
+//!   exactly what the uninterrupted engine detects.
+//!
+//! Fidelity is bit-level: every trust count is stored as its
+//! [`f64::to_bits`] pattern, so a restored engine's next epoch is
+//! byte-identical to the epoch an uninterrupted engine would have run.
+//! The crash-replay suite holds that equality at multiple thread counts.
 //!
 //! Writes are atomic: the record stream goes to a temp file, is
 //! fsynced, renamed over the live checkpoint, and the directory is
 //! fsynced — a crash mid-checkpoint leaves the previous checkpoint
 //! intact, never a half-written one. A trailing `{"record":"end"}`
-//! line guards the read side against truncation anyway.
+//! line, which counts the lines before it, guards the read side against
+//! truncation anyway.
+//!
+//! Earlier writers also stored the detector cache, as `product`,
+//! `cursor` and `band` records between the marks and the sentinel. The
+//! format version is unchanged: the reader skips those records without
+//! parsing them, so a directory written either way opens under both.
 
 use rrs_core::io::{jsonl_field, parse_jsonl_object, JsonScalar};
-use rrs_core::ProductId;
-use rrs_detectors::{
-    ArcBandSnapshot, CurveCursorSnapshot, CurvePointSnapshot, OnlineSnapshot, ProductSnapshot,
-};
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -53,87 +57,11 @@ pub struct Checkpoint {
     pub trust: Vec<(u32, u64, u64)>,
     /// The current suspicion set, as raw rating-id values.
     pub marks: Vec<u64>,
-    /// The online detector state.
-    pub online: OnlineSnapshot,
-}
-
-/// Serializes `u64` values as fixed-width hex columns.
-fn hex_u64s(values: impl IntoIterator<Item = u64>) -> String {
-    let mut out = String::new();
-    for v in values {
-        out.push_str(&format!("{v:016x}"));
-    }
-    out
-}
-
-/// Serializes `u32` values as fixed-width hex columns.
-fn hex_u32s(values: &[u32]) -> String {
-    let mut out = String::new();
-    for v in values {
-        out.push_str(&format!("{v:08x}"));
-    }
-    out
-}
-
-fn parse_hex_column(s: &str, width: usize, what: &str) -> Result<Vec<u64>, String> {
-    if !s.len().is_multiple_of(width) {
-        return Err(format!(
-            "{what}: length {} is not a multiple of {width}",
-            s.len()
-        ));
-    }
-    s.as_bytes()
-        .chunks(width)
-        .map(|chunk| {
-            let text = std::str::from_utf8(chunk).map_err(|_| format!("{what}: non-ASCII"))?;
-            u64::from_str_radix(text, 16).map_err(|e| format!("{what}: bad hex {text:?}: {e}"))
-        })
-        .collect()
-}
-
-fn parse_hex_u64s(s: &str, what: &str) -> Result<Vec<u64>, String> {
-    parse_hex_column(s, 16, what)
-}
-
-fn parse_hex_u32s(s: &str, what: &str) -> Result<Vec<u32>, String> {
-    parse_hex_column(s, 8, what).map(|v| v.into_iter().map(|x| x as u32).collect())
-}
-
-fn cursor_points_hex(cursor: &CurveCursorSnapshot) -> String {
-    hex_u64s(
-        cursor
-            .settled
-            .iter()
-            .flat_map(|p| [p.index, p.time_bits, p.value_bits]),
-    )
-}
-
-fn cursor_record(product: ProductId, which: &str, cursor: &CurveCursorSnapshot) -> String {
-    format!(
-        "{{\"record\":\"cursor\",\"product\":{},\"which\":\"{which}\",\"scan_from\":{},\"settled\":\"{}\"}}",
-        product.value(),
-        cursor.scan_from,
-        cursor_points_hex(cursor),
-    )
-}
-
-fn band_record(product: ProductId, which: &str, band: &ArcBandSnapshot) -> String {
-    format!(
-        "{{\"record\":\"band\",\"product\":{},\"which\":\"{which}\",\"absorbed\":{},\"median_bits\":{},\"counts\":\"{}\"}}",
-        product.value(),
-        band.absorbed,
-        match band.median_bits {
-            Some(bits) => bits.to_string(),
-            None => "null".to_string(),
-        },
-        hex_u32s(&band.counts),
-    )
 }
 
 impl Checkpoint {
     /// Renders the checkpoint as its JSONL record stream.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
+    fn to_jsonl(&self) -> String {
         let mut lines: Vec<String> = Vec::new();
         lines.push(format!(
             "{{\"record\":\"checkpoint\",\"version\":{CHECKPOINT_VERSION},\"epochs\":{},\"wal_events\":{}}}",
@@ -147,23 +75,6 @@ impl Checkpoint {
         for &id in &self.marks {
             lines.push(format!("{{\"record\":\"mark\",\"id\":{id}}}"));
         }
-        for p in &self.online.products {
-            lines.push(format!(
-                "{{\"record\":\"product\",\"product\":{},\"start_bits\":{},\"end_bits\":{},\"values\":\"{}\",\"times\":\"{}\"}}",
-                p.product.value(),
-                p.start_bits,
-                p.end_bits,
-                hex_u64s(p.values_bits.iter().copied()),
-                hex_u64s(p.times_bits.iter().copied()),
-            ));
-            lines.push(cursor_record(p.product, "mc", &p.mc));
-            lines.push(band_record(p.product, "harc", &p.harc));
-            lines.push(cursor_record(p.product, "harc", &p.harc.cursor));
-            lines.push(band_record(p.product, "larc", &p.larc));
-            lines.push(cursor_record(p.product, "larc", &p.larc.cursor));
-            lines.push(cursor_record(p.product, "hc", &p.hc));
-            lines.push(cursor_record(p.product, "me", &p.me));
-        }
         lines.push(format!("{{\"record\":\"end\",\"lines\":{}}}", lines.len()));
         let mut out = lines.join("\n");
         out.push('\n');
@@ -174,12 +85,12 @@ impl Checkpoint {
     ///
     /// Strict: records must arrive in write order, the `end` sentinel
     /// must match, and every field must parse — a checkpoint that fails
-    /// here is corrupt and recovery must refuse rather than guess.
+    /// here is corrupt and recovery must refuse rather than guess. The
+    /// only records not parsed are an earlier writer's detector cache
+    /// records, skipped between the marks and the sentinel.
     ///
-    /// # Errors
-    ///
-    /// Returns `(line_number, message)` (1-based).
-    pub fn from_jsonl(text: &str) -> Result<Checkpoint, (usize, String)> {
+    /// Errors are `(line_number, message)` (1-based).
+    fn from_jsonl(text: &str) -> Result<Checkpoint, (usize, String)> {
         let mut reader = RecordReader {
             lines: text.lines().collect(),
             at: 0,
@@ -208,9 +119,9 @@ impl Checkpoint {
             let r = reader.next_record("mark")?;
             marks.push(r.u64_field("id")?);
         }
-        let mut products = Vec::new();
-        while reader.peek_kind() == Some("product") {
-            products.push(read_product(&mut reader)?);
+        // An earlier writer's detector cache records: skipped unparsed.
+        while matches!(reader.peek_kind(), Some("product" | "cursor" | "band")) {
+            reader.at += 1;
         }
         let end = reader.next_record("end")?;
         let expected = end.u64_field("lines")?;
@@ -231,7 +142,6 @@ impl Checkpoint {
             wal_events,
             trust,
             marks,
-            online: OnlineSnapshot { products },
         })
     }
 }
@@ -255,30 +165,6 @@ impl Record {
             None => Err(self.err(format!("missing field {name:?}"))),
         }
     }
-
-    fn opt_u64_field(&self, name: &str) -> Result<Option<u64>, (usize, String)> {
-        match jsonl_field(&self.fields, name) {
-            Some(JsonScalar::Null) => Ok(None),
-            Some(scalar) => scalar
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| self.err(format!("field {name:?} must be a u64 or null"))),
-            None => Err(self.err(format!("missing field {name:?}"))),
-        }
-    }
-
-    fn text_field(&self, name: &str) -> Result<&str, (usize, String)> {
-        match jsonl_field(&self.fields, name) {
-            Some(scalar) => scalar
-                .as_text()
-                .ok_or_else(|| self.err(format!("field {name:?} must be a string"))),
-            None => Err(self.err(format!("missing field {name:?}"))),
-        }
-    }
-
-    fn hex_u64s_field(&self, name: &str) -> Result<Vec<u64>, (usize, String)> {
-        parse_hex_u64s(self.text_field(name)?, name).map_err(|e| self.err(e))
-    }
 }
 
 /// Sequential reader over the record stream.
@@ -287,25 +173,12 @@ struct RecordReader<'a> {
     at: usize,
 }
 
-impl RecordReader<'_> {
-    fn peek_kind(&self) -> Option<&'static str> {
-        let line = self.lines.get(self.at)?;
-        for kind in [
-            "checkpoint",
-            "trust",
-            "mark",
-            "product",
-            "cursor",
-            "band",
-            "end",
-        ] {
-            if line.starts_with(&format!("{{\"record\":\"{kind}\","))
-                || *line == format!("{{\"record\":\"{kind}\"}}")
-            {
-                return Some(kind);
-            }
-        }
-        None
+impl<'a> RecordReader<'a> {
+    /// The kind of the next record, read off its leading `record` field
+    /// without parsing the line.
+    fn peek_kind(&self) -> Option<&'a str> {
+        let rest = self.lines.get(self.at)?.strip_prefix("{\"record\":\"")?;
+        rest.split('"').next()
     }
 
     fn next_record(&mut self, expect: &str) -> Result<Record, (usize, String)> {
@@ -330,95 +203,6 @@ impl RecordReader<'_> {
         self.at += 1;
         Ok(Record { line_no, fields })
     }
-}
-
-fn read_cursor(
-    reader: &mut RecordReader<'_>,
-    product: u64,
-    which: &str,
-) -> Result<CurveCursorSnapshot, (usize, String)> {
-    let r = reader.next_record("cursor")?;
-    if r.u64_field("product")? != product {
-        return Err(r.err("cursor record for the wrong product".to_string()));
-    }
-    if r.text_field("which")? != which {
-        return Err(r.err(format!("expected cursor {which:?}")));
-    }
-    let scan_from = r.u64_field("scan_from")?;
-    let flat = r.hex_u64s_field("settled")?;
-    if flat.len() % 3 != 0 {
-        return Err(r.err("settled points must come in (index, time, value) triples".to_string()));
-    }
-    let settled = flat
-        .chunks(3)
-        .map(|c| CurvePointSnapshot {
-            index: c[0],
-            time_bits: c[1],
-            value_bits: c[2],
-        })
-        .collect();
-    Ok(CurveCursorSnapshot { settled, scan_from })
-}
-
-fn read_band(
-    reader: &mut RecordReader<'_>,
-    product: u64,
-    which: &str,
-) -> Result<ArcBandSnapshot, (usize, String)> {
-    let r = reader.next_record("band")?;
-    if r.u64_field("product")? != product {
-        return Err(r.err("band record for the wrong product".to_string()));
-    }
-    if r.text_field("which")? != which {
-        return Err(r.err(format!("expected band {which:?}")));
-    }
-    let absorbed = r.u64_field("absorbed")?;
-    let median_bits = r.opt_u64_field("median_bits")?;
-    let counts = parse_hex_u32s(r.text_field("counts")?, "counts").map_err(|e| r.err(e))?;
-    let cursor = read_cursor(reader, product, which)?;
-    Ok(ArcBandSnapshot {
-        counts,
-        absorbed,
-        median_bits,
-        cursor,
-    })
-}
-
-fn read_product(reader: &mut RecordReader<'_>) -> Result<ProductSnapshot, (usize, String)> {
-    let r = reader.next_record("product")?;
-    let product_raw = r.u64_field("product")?;
-    if product_raw > u64::from(u16::MAX) {
-        return Err(r.err(format!("product {product_raw} exceeds the id range")));
-    }
-    let product = ProductId::new(product_raw as u16);
-    let start_bits = r.u64_field("start_bits")?;
-    let end_bits = r.u64_field("end_bits")?;
-    let values_bits = r.hex_u64s_field("values")?;
-    let times_bits = r.hex_u64s_field("times")?;
-    if values_bits.len() != times_bits.len() {
-        return Err(r.err(format!(
-            "values ({}) and times ({}) lengths differ",
-            values_bits.len(),
-            times_bits.len()
-        )));
-    }
-    let mc = read_cursor(reader, product_raw, "mc")?;
-    let harc = read_band(reader, product_raw, "harc")?;
-    let larc = read_band(reader, product_raw, "larc")?;
-    let hc = read_cursor(reader, product_raw, "hc")?;
-    let me = read_cursor(reader, product_raw, "me")?;
-    Ok(ProductSnapshot {
-        product,
-        values_bits,
-        times_bits,
-        start_bits,
-        end_bits,
-        mc,
-        harc,
-        larc,
-        hc,
-        me,
-    })
 }
 
 /// Writes the checkpoint atomically into `dir`.
@@ -467,26 +251,6 @@ mod tests {
     use super::*;
 
     fn sample() -> Checkpoint {
-        let cursor = |n: u64| CurveCursorSnapshot {
-            settled: (0..n)
-                .map(|i| CurvePointSnapshot {
-                    index: i,
-                    time_bits: (i as f64 * 0.5).to_bits(),
-                    value_bits: (3.0 + i as f64).to_bits(),
-                })
-                .collect(),
-            scan_from: n,
-        };
-        let band = |n: u64| ArcBandSnapshot {
-            counts: vec![1, 0, 4, 2],
-            absorbed: n,
-            median_bits: if n.is_multiple_of(2) {
-                Some(2.5f64.to_bits())
-            } else {
-                None
-            },
-            cursor: cursor(n),
-        };
         Checkpoint {
             epochs: 3,
             wal_events: 17,
@@ -495,34 +259,6 @@ mod tests {
                 (9, 0.25f64.to_bits(), 7.75f64.to_bits()),
             ],
             marks: vec![2, 5, 11],
-            online: OnlineSnapshot {
-                products: vec![
-                    ProductSnapshot {
-                        product: ProductId::new(0),
-                        values_bits: vec![3.5f64.to_bits(), 4.0f64.to_bits()],
-                        times_bits: vec![0.0f64.to_bits(), 1.5f64.to_bits()],
-                        start_bits: 0.0f64.to_bits(),
-                        end_bits: 30.0f64.to_bits(),
-                        mc: cursor(2),
-                        harc: band(2),
-                        larc: band(1),
-                        hc: cursor(0),
-                        me: cursor(2),
-                    },
-                    ProductSnapshot {
-                        product: ProductId::new(7),
-                        values_bits: vec![],
-                        times_bits: vec![],
-                        start_bits: 0.0f64.to_bits(),
-                        end_bits: 30.0f64.to_bits(),
-                        mc: cursor(0),
-                        harc: band(0),
-                        larc: band(0),
-                        hc: cursor(0),
-                        me: cursor(0),
-                    },
-                ],
-            },
         }
     }
 
@@ -543,7 +279,6 @@ mod tests {
             wal_events: 0,
             trust: vec![],
             marks: vec![],
-            online: OnlineSnapshot { products: vec![] },
         };
         let back = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("round trip");
         assert_eq!(ckpt, back);
@@ -594,5 +329,36 @@ mod tests {
         let (_, message) =
             Checkpoint::from_jsonl("{\"record\":\"trust\",\"rater\":1}\n").expect_err("order");
         assert!(message.contains("checkpoint"), "got {message}");
+    }
+
+    #[test]
+    fn earlier_detector_cache_records_are_skipped() {
+        // Earlier writers put the detector cache between the marks and
+        // the sentinel, which counts its lines too.
+        let ckpt = sample();
+        let mut lines: Vec<String> = ckpt.to_jsonl().lines().map(str::to_string).collect();
+        lines.pop();
+        for line in [
+            "{\"record\":\"product\",\"product\":0,\"start_bits\":0,\"end_bits\":4629137466983448576,\"values\":\"400c000000000000\",\"times\":\"0000000000000000\"}",
+            "{\"record\":\"cursor\",\"product\":0,\"which\":\"mc\",\"scan_from\":0,\"settled\":\"\"}",
+            "{\"record\":\"band\",\"product\":0,\"which\":\"harc\",\"absorbed\":1,\"median_bits\":null,\"counts\":\"00000001\"}",
+        ] {
+            lines.push(line.to_string());
+        }
+        let stream = |lines: &[String], count: usize| {
+            format!(
+                "{}\n{{\"record\":\"end\",\"lines\":{count}}}\n",
+                lines.join("\n")
+            )
+        };
+        assert_eq!(
+            Checkpoint::from_jsonl(&stream(&lines, lines.len())),
+            Ok(ckpt)
+        );
+        assert!(Checkpoint::from_jsonl(&stream(&lines, lines.len() - 3)).is_err());
+        // Only between the marks and the sentinel.
+        let product = lines.remove(lines.len() - 3);
+        lines.insert(1, product);
+        assert!(Checkpoint::from_jsonl(&stream(&lines, lines.len())).is_err());
     }
 }

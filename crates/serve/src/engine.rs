@@ -10,19 +10,22 @@
 //!
 //! Durability is write-ahead: every accepted submission and every
 //! epoch boundary hits the fsynced WAL **before** the in-memory state
-//! changes, and [`Engine::open`] recovers by loading the newest
-//! checkpoint and replaying the WAL suffix. Because rating ids are
-//! assigned in insertion order and the epoch computation is
-//! deterministic at any thread count, a recovered engine is
-//! bit-identical to one that never crashed — the crash-replay suite in
-//! `tests/` holds this at `RRS_THREADS=1` and `8`.
+//! changes, and [`Engine::open`] recovers by re-inserting every rating
+//! of the WAL, loading the newest checkpoint (trust records and
+//! suspicion set) and re-running the epochs of the WAL suffix. The
+//! detector cache is not checkpointed: the first epoch after a restart,
+//! replayed or live, rebuilds it from the dataset in one full pass.
+//! Because rating ids are assigned in insertion order and the epoch
+//! computation is deterministic at any thread count, a recovered engine
+//! is bit-identical to one that never crashed — the crash-replay suite
+//! in `tests/` holds this at `RRS_THREADS=1` and `8`.
 
 use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::dto::RatingSubmission;
 use crate::wal::{read_wal, truncate_wal, WalEvent, WalWriter};
 use rrs_aggregation::{PSchemeConfig, PSchemeState};
 use rrs_core::{Days, ProductId, RaterId, RatingDataset, RatingId, TimeWindow, Timestamp};
-use rrs_detectors::{DetectorConfig, OnlineState};
+use rrs_detectors::DetectorConfig;
 use rrs_obs::rrs_warn;
 use rrs_trust::{BetaTrust, TrustManager};
 use std::collections::BTreeSet;
@@ -234,7 +237,6 @@ impl Engine {
             state: PSchemeState::restore(
                 config.scheme(),
                 TrustManager::from_records(records),
-                OnlineState::restore(&checkpoint.online),
                 marks,
             ),
             epochs,
@@ -329,7 +331,7 @@ impl Engine {
         self.epochs += 1;
     }
 
-    /// Writes a checkpoint of the current derived state.
+    /// Writes a checkpoint of the trust records and the suspicion set.
     ///
     /// # Errors
     ///
@@ -352,7 +354,6 @@ impl Engine {
                 })
                 .collect(),
             marks: self.suspicious().iter().map(|id| id.value()).collect(),
-            online: self.state.online().snapshot(),
         };
         write_checkpoint(&self.dir, &image)
     }

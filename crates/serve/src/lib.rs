@@ -16,8 +16,8 @@
 //!   truncated or wrapped into another rater's identity at this door.
 //! * [`wal`] — the append-only JSONL write-ahead log (fsync-on-batch,
 //!   torn-tail tolerant, corruption refusing).
-//! * [`checkpoint`] — atomic bit-exact snapshots of the trust table,
-//!   suspicion set, and online detector state.
+//! * [`checkpoint`] — atomic bit-exact snapshots of what the WAL cannot
+//!   rebuild: the trust table and the suspicion set.
 //! * [`engine`] — the durable P-scheme epoch loop: WAL append before
 //!   memory mutation, recovery = checkpoint + WAL-suffix replay,
 //!   bit-identical to an uninterrupted run at any thread count.

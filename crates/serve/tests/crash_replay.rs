@@ -1,7 +1,12 @@
 //! Crash-replay equivalence: an engine that dies without warning and
 //! recovers from its WAL (+ optional checkpoint) must be bit-identical
-//! to an engine that never crashed — trust table, suspicion set,
-//! product scores, and the full online detector state.
+//! to an engine that never crashed — trust table, suspicion set and
+//! product scores — and must stay so when both run on. Every scenario
+//! feeds both engines a fourth batch and one more epoch after the
+//! comparison and compares again. The checkpoint holds no detector
+//! cache, so the first epoch after a restart rebuilds it from the
+//! dataset, during WAL replay or, when the checkpoint covers the whole
+//! log, live; the continuation checks that epoch and the one after it.
 //!
 //! Determinism makes this test cheap: there is exactly one correct
 //! final state, so equality is `assert_eq!` on bit patterns, not a
@@ -20,7 +25,7 @@ use rrs_core::par::with_threads;
 use rrs_core::ProductId;
 use rrs_serve::dto::parse_submission;
 use rrs_serve::{Engine, EngineConfig, RatingSubmission};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch(name: &str, threads: usize) -> PathBuf {
     let dir =
@@ -63,6 +68,20 @@ fn batches() -> [Vec<RatingSubmission>; 3] {
     [first, second, third]
 }
 
+/// The batch every scenario continues with, inside the 30-day epoch
+/// that starts on day `start`: fair ratings of product 1 and a burst of
+/// 0.5s onto it from raters 70..78, so that epoch marks new ratings.
+fn fourth(start: f64) -> Vec<RatingSubmission> {
+    let mut batch = Vec::new();
+    for i in 0..12u32 {
+        batch.push(sub(i, 1, start + f64::from(i), 3.5));
+    }
+    for i in 0..8u32 {
+        batch.push(sub(70 + i, 1, start + 2.0 + f64::from(i) * 0.25, 0.5));
+    }
+    batch
+}
+
 /// Every observable the API serves, in bit-exact form.
 #[derive(Debug, PartialEq, Eq)]
 struct StateImage {
@@ -71,7 +90,6 @@ struct StateImage {
     trust: Vec<(u32, u64, u64)>,
     marks: Vec<u64>,
     scores: Vec<(u16, Option<u64>)>,
-    online: String,
 }
 
 fn image(engine: &Engine) -> StateImage {
@@ -94,37 +112,39 @@ fn image(engine: &Engine) -> StateImage {
                 (p, score)
             })
             .collect(),
-        // The full detector state, via the checkpoint codec: equal
-        // strings mean equal bit patterns in every settled curve point.
-        online: rrs_serve::Checkpoint {
-            epochs: engine.epochs(),
-            wal_events: engine.wal_events(),
-            trust: vec![],
-            marks: vec![],
-            online: engine_online(engine),
-        }
-        .to_jsonl(),
     }
 }
 
-fn engine_online(engine: &Engine) -> rrs_detectors::OnlineSnapshot {
-    // The engine does not expose the raw OnlineState; round-trip it
-    // through a checkpoint write, which is itself under test.
-    engine.checkpoint().expect("checkpoint");
-    let ckpt = rrs_serve::checkpoint::read_checkpoint(engine.dir())
-        .expect("read")
-        .expect("present");
-    ckpt.online
-}
-
 /// The uninterrupted oracle: all three batches, an epoch after each.
-fn uninterrupted(dir: &std::path::Path) -> Engine {
+fn uninterrupted(dir: &Path) -> Engine {
     let mut engine = Engine::open(dir, EngineConfig::paper(30.0)).expect("open");
     for batch in batches() {
         engine.submit(&batch).expect("submit");
         engine.advance_epoch().expect("epoch");
     }
     engine
+}
+
+/// Feeds both engines the fourth batch inside their next epoch and runs
+/// that epoch, then requires equal images. The epoch must change the
+/// suspicion set, so the comparison covers fresh detector output.
+fn assert_continue_identically(recovered: &mut Engine, oracle: &mut Engine, context: &str) {
+    let before = image(oracle);
+    for engine in [&mut *recovered, &mut *oracle] {
+        let start = engine.epochs() as f64 * 30.0;
+        engine.submit(&fourth(start)).expect("submit");
+        engine.advance_epoch().expect("epoch");
+    }
+    let after = image(oracle);
+    assert_ne!(
+        after.marks, before.marks,
+        "the fourth batch's epoch left the suspicion set unchanged ({context})"
+    );
+    assert_eq!(
+        image(recovered),
+        after,
+        "after the fourth batch ({context})"
+    );
 }
 
 #[test]
@@ -141,14 +161,16 @@ fn recovery_without_checkpoint_matches_uninterrupted() {
                 }
                 // Crash: dropped with no checkpoint, no shutdown.
             }
-            let recovered = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
-            let oracle = uninterrupted(&oracle_dir);
+            let mut recovered =
+                Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+            let mut oracle = uninterrupted(&oracle_dir);
             let oracle_image = image(&oracle);
             // Equality must not be vacuous: the workload's low-value
             // burst trips the detectors and populates the trust table.
             assert!(!oracle_image.trust.is_empty(), "trust table is empty");
             assert!(!oracle_image.marks.is_empty(), "suspicion set is empty");
             assert_eq!(image(&recovered), oracle_image, "threads={threads}");
+            assert_continue_identically(&mut recovered, &mut oracle, &format!("threads={threads}"));
         });
     }
 }
@@ -165,16 +187,47 @@ fn recovery_from_checkpoint_plus_wal_suffix_matches_uninterrupted() {
                 engine.submit(&first).expect("submit");
                 engine.advance_epoch().expect("epoch");
                 engine.checkpoint().expect("checkpoint");
-                // Everything after the checkpoint lives only in the WAL.
+                // Everything after the checkpoint lives only in the WAL;
+                // its first replayed epoch rebuilds the detector cache.
                 engine.submit(&second).expect("submit");
                 engine.advance_epoch().expect("epoch");
                 engine.submit(&third).expect("submit");
                 engine.advance_epoch().expect("epoch");
                 // Crash.
             }
-            let recovered = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
-            let oracle = uninterrupted(&oracle_dir);
+            let mut recovered =
+                Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+            let mut oracle = uninterrupted(&oracle_dir);
             assert_eq!(image(&recovered), image(&oracle), "threads={threads}");
+            assert_continue_identically(&mut recovered, &mut oracle, &format!("threads={threads}"));
+        });
+    }
+}
+
+#[test]
+fn a_checkpoint_after_the_last_epoch_rebuilds_the_cache_in_a_live_epoch() {
+    for threads in [1usize, 8] {
+        with_threads(threads, || {
+            let crash_dir = scratch("ckpt-last-crash", threads);
+            let oracle_dir = scratch("ckpt-last-oracle", threads);
+            {
+                let mut engine = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("open");
+                for batch in batches() {
+                    engine.submit(&batch).expect("submit");
+                    engine.advance_epoch().expect("epoch");
+                }
+                engine.checkpoint().expect("checkpoint");
+                // Crash: the checkpoint covers the whole WAL, so
+                // recovery replays no epoch and the detector cache is
+                // still empty when the next live epoch runs.
+            }
+            let mut recovered =
+                Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+            let mut oracle = uninterrupted(&oracle_dir);
+            let oracle_image = image(&oracle);
+            assert!(!oracle_image.marks.is_empty(), "suspicion set is empty");
+            assert_eq!(image(&recovered), oracle_image, "threads={threads}");
+            assert_continue_identically(&mut recovered, &mut oracle, &format!("threads={threads}"));
         });
     }
 }
@@ -192,15 +245,14 @@ fn recovery_at_a_different_thread_count_is_identical() {
                 engine.advance_epoch().expect("epoch");
             }
         });
-        let (recovered_image, oracle_image) = with_threads(recover_threads, || {
-            let recovered = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
-            let oracle = uninterrupted(&oracle_dir);
-            (image(&recovered), image(&oracle))
+        with_threads(recover_threads, || {
+            let context = format!("crash at {crash_threads}, recover at {recover_threads}");
+            let mut recovered =
+                Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+            let mut oracle = uninterrupted(&oracle_dir);
+            assert_eq!(image(&recovered), image(&oracle), "{context}");
+            assert_continue_identically(&mut recovered, &mut oracle, &context);
         });
-        assert_eq!(
-            recovered_image, oracle_image,
-            "crash at {crash_threads}, recover at {recover_threads}"
-        );
     }
 }
 
@@ -228,8 +280,9 @@ fn a_torn_wal_tail_recovers_to_the_acknowledged_prefix() {
                 .expect("tear");
             drop(wal);
 
-            let recovered = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
-            let oracle = {
+            let mut recovered =
+                Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+            let mut oracle = {
                 let mut engine =
                     Engine::open(&oracle_dir, EngineConfig::paper(30.0)).expect("open");
                 engine.submit(&first).expect("submit");
@@ -238,6 +291,7 @@ fn a_torn_wal_tail_recovers_to_the_acknowledged_prefix() {
                 engine
             };
             assert_eq!(image(&recovered), image(&oracle), "threads={threads}");
+            assert_continue_identically(&mut recovered, &mut oracle, &format!("threads={threads}"));
         });
     }
 }
@@ -274,12 +328,13 @@ fn appends_after_a_torn_tail_survive_the_next_crash() {
                 // Crash again, right after the acknowledged epoch.
             }
 
-            let recovered =
+            let mut recovered =
                 Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover again");
-            let oracle = uninterrupted(&oracle_dir);
+            let mut oracle = uninterrupted(&oracle_dir);
             let oracle_image = image(&oracle);
             assert!(!oracle_image.marks.is_empty(), "suspicion set is empty");
             assert_eq!(image(&recovered), oracle_image, "threads={threads}");
+            assert_continue_identically(&mut recovered, &mut oracle, &format!("threads={threads}"));
         });
     }
 }
@@ -289,6 +344,7 @@ fn double_recovery_is_stable() {
     // Recovering, crashing again immediately, and recovering again must
     // land on the same state (recovery is idempotent).
     let crash_dir = scratch("double", 0);
+    let oracle_dir = scratch("double-oracle", 0);
     {
         let mut engine = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("open");
         for batch in batches() {
@@ -300,9 +356,64 @@ fn double_recovery_is_stable() {
         let engine = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
         image(&engine)
     };
-    let second = {
-        let engine = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
-        image(&engine)
+    let mut recovered = Engine::open(&crash_dir, EngineConfig::paper(30.0)).expect("recover");
+    assert_eq!(first, image(&recovered));
+    let mut oracle = uninterrupted(&oracle_dir);
+    assert_eq!(first, image(&oracle));
+    assert_continue_identically(&mut recovered, &mut oracle, "second recovery");
+}
+
+#[test]
+fn a_checkpoint_with_detector_cache_records_still_opens() {
+    // `fixtures/detector-cache-checkpoint` was written in process by the
+    // engine at commit 0815782, the last whose checkpoints stored the
+    // detector cache (format version 1 then too), fed this file's
+    // batches: the first batch and an epoch, the second batch and an
+    // epoch, `Engine::checkpoint`, and the third batch with no epoch.
+    // So the checkpoint holds `product`, `cursor` and `band` records
+    // after the trust records, and the WAL runs 20 ratings past it.
+    // Recovery opens a copy, since opening may truncate a torn tail and
+    // continuing appends to the WAL.
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/detector-cache-checkpoint");
+    let text = std::fs::read_to_string(fixture.join("checkpoint.jsonl")).expect("fixture");
+    assert!(text.contains("{\"record\":\"product\","));
+    let dir = scratch("detector-cache-fixture", 0);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for file in ["checkpoint.jsonl", "wal.jsonl"] {
+        std::fs::copy(fixture.join(file), dir.join(file)).expect("copy fixture");
+    }
+    let mut recovered = Engine::open(&dir, EngineConfig::paper(30.0)).expect("recover");
+    let mut oracle = {
+        let [first, second, third] = batches();
+        let mut engine = Engine::open(
+            &scratch("detector-cache-oracle", 0),
+            EngineConfig::paper(30.0),
+        )
+        .expect("open");
+        engine.submit(&first).expect("submit");
+        engine.advance_epoch().expect("epoch");
+        engine.submit(&second).expect("submit");
+        engine.advance_epoch().expect("epoch");
+        engine.submit(&third).expect("submit");
+        engine
     };
-    assert_eq!(first, second);
+    let oracle_image = image(&oracle);
+    assert!(!oracle_image.trust.is_empty(), "trust table is empty");
+    assert_eq!(image(&recovered), oracle_image);
+    assert_continue_identically(&mut recovered, &mut oracle, "earlier-format fixture");
+
+    // What the engine writes now holds no detector cache records.
+    recovered.checkpoint().expect("checkpoint");
+    let written = std::fs::read_to_string(dir.join("checkpoint.jsonl")).expect("read");
+    for line in written.lines() {
+        let kind = line
+            .strip_prefix("{\"record\":\"")
+            .and_then(|rest| rest.split('"').next());
+        assert!(
+            matches!(kind, Some("checkpoint" | "trust" | "mark" | "end")),
+            "unexpected record {line}"
+        );
+    }
+    assert!(written.contains("{\"record\":\"mark\","));
 }

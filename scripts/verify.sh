@@ -1,5 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the exact commands CI runs, in the exact order.
+# Tier-1 verification: CI's commands, in CI's order, less its slowest
+# steps. Left out here and run only in CI:
+#   - the property tests at 1024 cases
+#     (RRS_PROP_CASES=1024 cargo test -q --workspace --offline);
+#   - the servebench correctness gates (epoch and read-mix workloads)
+#     and its traced epoch run;
+#   - every bench but ingest: detection, suite, online, obs and lint.
 # Everything must pass offline — the workspace has zero external
 # dependencies, and this script is what keeps it that way.
 set -euo pipefail
@@ -80,13 +86,15 @@ RRS_TRACE=1 RRS_THREADS=8 target/release/experiments --scale small --seed 42 --o
 test -s "$TMP/threads1/metrics.json"
 diff -r "$TMP/threads1" "$TMP/threads8"
 
-# Serving smoke: SIGKILL a live server after acknowledged submissions,
-# restart it from the WAL, finish the workload, and require the
-# recovered trust table and suspicion set to byte-match an uninterrupted
-# server fed the identical sequence — with the crashed run recovering at
-# RRS_THREADS=1 and the oracle running at 8, so the diff also holds
-# across pool widths (the crash-replay test suite holds the matrix's
-# other cells in-process).
+# Serving smoke: checkpoint a live server after its first epoch, SIGKILL
+# it after further acknowledged submissions, restart it from the
+# checkpoint and the WAL, finish the workload, and require the recovered
+# trust table and suspicion set to byte-match an uninterrupted server fed
+# the identical sequence. The checkpoint holds no detector cache, so the
+# restarted server's epochs run on a cache rebuilt from the WAL. The
+# crashed run recovers at RRS_THREADS=1 and the oracle runs at 8, so the
+# diff also holds across pool widths (the crash-replay test suite holds
+# the matrix's other cells in-process).
 SERVE_A="$TMP/serve-crash"
 SERVE_B="$TMP/serve-oracle"
 for i in $(seq 0 11); do
@@ -115,16 +123,20 @@ serve_start() { # dir addr-file threads
 }
 serve_ratings() { curl -sf -X POST --data-binary @"$1" "http://$SERVE_ADDR/ratings" > /dev/null; }
 serve_epoch() { curl -sf -X POST -d '' "http://$SERVE_ADDR/epochs" > /dev/null; }
+serve_checkpoint() { curl -sf -X POST -d '' "http://$SERVE_ADDR/checkpoint" > /dev/null; }
 
-# Crashed run: two acknowledged batches and one epoch, then kill -9.
+# Crashed run: two acknowledged batches, one epoch and a checkpoint after
+# it, then kill -9.
 serve_start "$SERVE_A" "$TMP/addr-a1" 1
 serve_ratings "$TMP/batch1.jsonl"
 serve_epoch
+serve_checkpoint
 serve_ratings "$TMP/batch2.jsonl"
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 
-# Recover from the WAL and finish the workload.
+# Recover from the checkpoint and the WAL, and finish the workload.
+test -s "$SERVE_A/checkpoint.jsonl"
 serve_start "$SERVE_A" "$TMP/addr-a2" 1
 serve_epoch
 serve_ratings "$TMP/batch3.jsonl"
