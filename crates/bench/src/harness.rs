@@ -131,7 +131,14 @@ impl Harness {
     ///
     /// The closure's return value is passed through [`black_box`] so the
     /// optimizer cannot elide the work.
-    pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut body: F) {
+    pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, body: F) {
+        self.bench_per(name, 1, body);
+    }
+
+    /// Times `body` like [`bench`](Harness::bench), when one call of it
+    /// handles `items` items (a batch's ratings, a file's lines), and
+    /// records the time per item.
+    pub fn bench_per<T, F: FnMut() -> T>(&mut self, name: &str, items: u64, mut body: F) {
         // Calibrate: grow the batch until it costs ≥ TARGET_BATCH_NANOS.
         let mut iters: u64 = 1;
         loop {
@@ -154,7 +161,7 @@ impl Harness {
                 for _ in 0..iters {
                     black_box(body());
                 }
-                start.elapsed().as_nanos() as f64 / iters as f64
+                start.elapsed().as_nanos() as f64 / (iters as f64 * items.max(1) as f64)
             })
             .collect();
         per_iter.sort_by(f64::total_cmp);
@@ -178,9 +185,10 @@ impl Harness {
             std_dev_ns: var.sqrt(),
         };
         rrs_obs::rrs_info!(
-            "{:<32} {:>12.1} ns/iter (median {:.1}, ±{:.1}, {} iters × {} samples)",
+            "{:<32} {:>12.1} ns/{} (median {:.1}, ±{:.1}, {} iters × {} samples)",
             result.name,
             result.mean_ns,
+            if items > 1 { "item" } else { "iter" },
             result.median_ns,
             result.std_dev_ns,
             result.iters_per_sample,

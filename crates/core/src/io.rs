@@ -18,6 +18,7 @@
 use crate::{
     CoreError, ProductId, RaterId, Rating, RatingDataset, RatingSource, RatingValue, Timestamp,
 };
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -165,12 +166,56 @@ pub fn to_json_string(dataset: &RatingDataset) -> String {
 /// field reads back as floating-point in typed consumers).
 #[must_use]
 pub fn json_number(x: f64) -> String {
+    let mut out = String::new();
+    push_json_number(&mut out, x);
+    out
+}
+
+/// Appends [`json_number`]`(x)` to `buf`, with no intermediate string.
+pub fn push_json_number(buf: &mut String, x: f64) {
     debug_assert!(x.is_finite(), "rating fields are finite by construction");
-    let s = x.to_string();
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
+    // Whole and quarter values (every half-star rating, every whole
+    // day) have an exact two-place decimal expansion, which is their
+    // shortest round-trip form too: spelled out without the float
+    // formatter.
+    let quarters = x.abs() * 4.0;
+    // lint:allow(float-eq): an exact integrality test, which a tolerance would break
+    if quarters < 1e15 && quarters.fract() == 0.0 {
+        let quarters = quarters as u64;
+        if x.is_sign_negative() {
+            buf.push('-');
+        }
+        push_json_uint(buf, quarters / 4);
+        buf.push_str([".0", ".25", ".5", ".75"][(quarters % 4) as usize]);
+        return;
+    }
+    let start = buf.len();
+    // Writing into a `String` cannot fail.
+    let _ = fmt::Write::write_fmt(buf, format_args!("{x}"));
+    let rendered = buf.get(start..).unwrap_or_default();
+    if !(rendered.contains('.')
+        || rendered.contains('e')
+        || rendered.contains("inf")
+        || rendered.contains("NaN"))
+    {
+        buf.push_str(".0");
+    }
+}
+
+/// Appends `v` in decimal to `buf`, as `v.to_string()` would spell it.
+pub fn push_json_uint(buf: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        buf.push(char::from(d));
     }
 }
 
@@ -257,15 +302,21 @@ impl JsonScalar {
             _ => None,
         }
     }
+}
 
-    /// The field as a string, if it is one.
-    #[must_use]
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Text(s) => Some(s),
-            _ => None,
-        }
-    }
+/// One scalar field of a JSONL line as the scanner hands it out:
+/// borrowed from the line, except a string holding an escape, which is
+/// the one case that allocates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonToken<'a> {
+    /// A numeric field, as its raw token (validated to parse as `f64`).
+    Number(&'a str),
+    /// A string field, with escapes resolved.
+    Text(Cow<'a, str>),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
 }
 
 /// Parses one line of JSONL as a flat object of scalar fields.
@@ -277,46 +328,18 @@ impl JsonScalar {
 /// malformed escapes are errors, never guesses — because its callers
 /// replay durable state where a misread field means silent corruption.
 ///
-/// Field order is preserved.
+/// Field order is preserved. Readers of a fixed field set use
+/// [`scan_jsonl_fields`], which runs the same scanner without building
+/// the owned fields.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message with the byte offset of the
 /// problem.
 pub fn parse_jsonl_object(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
-    let mut p = JsonCursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.require(b'{')?;
-    let mut fields: Vec<(String, JsonScalar)> = Vec::new();
-    p.skip_ws();
-    if !p.eat(b'}') {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            p.skip_ws();
-            p.require(b':')?;
-            p.skip_ws();
-            let value = p.scalar()?;
-            fields.push((key, value));
-            p.skip_ws();
-            if p.eat(b',') {
-                continue;
-            }
-            p.require(b'}')?;
-            break;
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(fields)
+    let mut fields = ObjectFields(Vec::new());
+    scan_object(line, &mut fields)?;
+    Ok(fields.0)
 }
 
 /// Looks up a field by name in a parsed JSONL object.
@@ -325,13 +348,270 @@ pub fn jsonl_field<'a>(fields: &'a [(String, JsonScalar)], name: &str) -> Option
     fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
-/// Byte cursor over one JSONL line.
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The fields of one JSONL line sorted into fixed slots by key, as
+/// [`scan_jsonl_fields`] returns them.
+#[derive(Debug)]
+pub struct JsonlSlots<'a, const N: usize> {
+    /// The token of each named key, in the order the names were given;
+    /// `None` where the line lacks the key.
+    pub values: [Option<JsonToken<'a>>; N],
+    /// How many fields the line holds, named or not.
+    pub fields: usize,
+    /// The first key, in line order, that names no slot.
+    pub unknown: Option<Cow<'a, str>>,
 }
 
-impl JsonCursor<'_> {
+/// Scans one JSONL line into one slot per name in `names`, borrowing
+/// every token from the line.
+///
+/// The line is held to exactly [`parse_jsonl_object`]'s rules, with the
+/// same messages: a line one refuses, the other refuses for the same
+/// reason, and a duplicate key is refused whether or not it names a
+/// slot. Keys outside `names` are not refused here; the first one is
+/// reported in [`JsonlSlots::unknown`], so the caller decides, after the
+/// whole line has parsed, whether an extra key is an error.
+///
+/// # Errors
+///
+/// Returns a human-readable message with the byte offset of the
+/// problem.
+pub fn scan_jsonl_fields<'a, const N: usize>(
+    line: &'a str,
+    names: [&str; N],
+) -> Result<JsonlSlots<'a, N>, String> {
+    let mut slots = SlotFields {
+        names: &names,
+        values: std::array::from_fn(|_| None),
+        fields: 0,
+        at: None,
+        others: Vec::new(),
+    };
+    scan_object(line, &mut slots)?;
+    Ok(JsonlSlots {
+        values: slots.values,
+        fields: slots.fields,
+        unknown: slots.others.into_iter().next(),
+    })
+}
+
+/// Where [`scan_object`] hands a line's fields: each key first, so a
+/// duplicate is refused before the value after it is parsed (which fixes
+/// the error a doubly broken line reports), then that key's value.
+trait FieldSink<'a> {
+    /// Takes the next key, or refuses it as a duplicate.
+    fn key(&mut self, key: Cow<'a, str>) -> Result<(), String>;
+    /// Takes the value of the key just taken.
+    fn value(&mut self, value: JsonToken<'a>);
+}
+
+/// The one JSONL reader: scans a line's flat object and hands each key
+/// and value to `sink` as slices of the line.
+#[inline]
+fn scan_object<'a>(line: &'a str, sink: &mut impl FieldSink<'a>) -> Result<(), String> {
+    let mut c = JsonCursor {
+        text: line,
+        bytes: line.as_bytes(),
+        pos: 0,
+        fault: Fault::Expected(b'{'),
+    };
+    let mut refused = None;
+    match c.object(sink, &mut refused) {
+        Some(()) => Ok(()),
+        None => Err(refused.unwrap_or_else(|| c.message())),
+    }
+}
+
+/// [`parse_jsonl_object`]'s sink: every field, owned, in line order.
+struct ObjectFields(Vec<(String, JsonScalar)>);
+
+impl<'a> FieldSink<'a> for ObjectFields {
+    fn key(&mut self, key: Cow<'a, str>) -> Result<(), String> {
+        if self.0.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        self.0.push((key.into_owned(), JsonScalar::Null));
+        Ok(())
+    }
+
+    fn value(&mut self, value: JsonToken<'a>) {
+        if let Some((_, slot)) = self.0.last_mut() {
+            *slot = match value {
+                JsonToken::Number(raw) => JsonScalar::Number(raw.to_string()),
+                JsonToken::Text(text) => JsonScalar::Text(text.into_owned()),
+                JsonToken::Bool(b) => JsonScalar::Bool(b),
+                JsonToken::Null => JsonScalar::Null,
+            };
+        }
+    }
+}
+
+/// [`scan_jsonl_fields`]'s sink: one slot per name.
+struct SlotFields<'a, 'n, const N: usize> {
+    names: &'n [&'n str; N],
+    values: [Option<JsonToken<'a>>; N],
+    fields: usize,
+    /// The slot the next value goes to; `None` for a key outside them.
+    at: Option<usize>,
+    /// Keys outside the slots, kept to refuse their duplicates too;
+    /// empty (and unallocated) on every line a reader accepts.
+    others: Vec<Cow<'a, str>>,
+}
+
+impl<'a, const N: usize> FieldSink<'a> for SlotFields<'a, '_, N> {
+    #[inline]
+    fn key(&mut self, key: Cow<'a, str>) -> Result<(), String> {
+        self.fields += 1;
+        // Lengths and first bytes settle almost every mismatch without
+        // a call into `memcmp`.
+        let (k, first) = (key.as_bytes(), key.as_bytes().first());
+        self.at = self.names.iter().position(|name| {
+            let name = name.as_bytes();
+            name.len() == k.len() && name.first() == first && name == k
+        });
+        let taken = match self.at.and_then(|i| self.values.get(i)) {
+            Some(slot) => slot.is_some(),
+            None => self.others.contains(&key),
+        };
+        if taken {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        if self.at.is_none() {
+            self.others.push(key);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn value(&mut self, value: JsonToken<'a>) {
+        if let Some(slot) = self.at.and_then(|i| self.values.get_mut(i)) {
+            *slot = Some(value);
+        }
+    }
+}
+
+/// Byte cursor over one JSONL line. Its steps return `None` on a
+/// malformed line and leave the reason in `fault`; the message is only
+/// spelled out, by [`message`](Self::message), when a line is refused.
+struct JsonCursor<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    fault: Fault,
+}
+
+/// Why the cursor stopped, with what its message needs beyond `pos`.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// A required byte was missing at `pos`.
+    Expected(u8),
+    /// No scalar starts at `pos`.
+    Scalar,
+    /// The number token from this offset to `pos` is malformed.
+    Number(usize),
+    /// A string slice from this offset was not on character boundaries.
+    Utf8(usize),
+    /// A control character sits unescaped in a string at `pos`.
+    Control,
+    /// The line ended inside a string.
+    Unterminated,
+    /// The line ended right after a backslash.
+    UnterminatedEscape,
+    /// The escape at this offset is `\u` without four more bytes.
+    TruncatedEscape(usize),
+    /// The `\u` escape at this offset is not hexadecimal.
+    BadEscape(usize),
+    /// The `\u` escape at this offset names no Unicode scalar value.
+    NotScalar(usize),
+    /// The escape at this offset is not a JSON escape.
+    UnknownEscape(usize),
+    /// Something other than whitespace follows the object at `pos`.
+    Trailing,
+}
+
+impl<'a> JsonCursor<'a> {
+    /// Records why the scan stopped.
+    #[inline]
+    fn fail<T>(&mut self, fault: Fault) -> Option<T> {
+        self.fault = fault;
+        None
+    }
+
+    /// The flat object, each key then its value handed to `sink`; a key
+    /// the sink refuses leaves its message in `refused`.
+    #[inline]
+    fn object(
+        &mut self,
+        sink: &mut impl FieldSink<'a>,
+        refused: &mut Option<String>,
+    ) -> Option<()> {
+        self.skip_ws();
+        self.require(b'{')?;
+        self.skip_ws();
+        if !self.eat(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                if let Err(e) = sink.key(key) {
+                    *refused = Some(e);
+                    return None;
+                }
+                self.skip_ws();
+                self.require(b':')?;
+                self.skip_ws();
+                sink.value(self.scalar()?);
+                self.skip_ws();
+                if self.eat(b',') {
+                    continue;
+                }
+                self.require(b'}')?;
+                break;
+            }
+        }
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.fail(Fault::Trailing);
+        }
+        Some(())
+    }
+
+    /// The message for the fault the scan stopped at.
+    #[cold]
+    fn message(&self) -> String {
+        let found = |at: usize| self.bytes.get(at).map(|&c| char::from(c));
+        let hex = |at: usize| {
+            self.bytes
+                .get(at + 1..at + 5)
+                .and_then(|h| std::str::from_utf8(h).ok())
+                .unwrap_or_default()
+        };
+        let pos = self.pos;
+        match self.fault {
+            Fault::Expected(b) => format!(
+                "expected {:?} at byte {pos}, found {:?}",
+                char::from(b),
+                found(pos)
+            ),
+            Fault::Scalar => format!("expected a scalar at byte {pos}, found {:?}", found(pos)),
+            Fault::Number(start) => format!(
+                "bad number {:?} at byte {start}",
+                self.text.get(start..pos).unwrap_or_default()
+            ),
+            Fault::Utf8(start) => format!("invalid UTF-8 in string at byte {start}"),
+            Fault::Control => format!("unescaped control character at byte {pos}"),
+            Fault::Unterminated => "unterminated string".to_string(),
+            Fault::UnterminatedEscape => "unterminated escape".to_string(),
+            Fault::TruncatedEscape(at) => format!("truncated \\u escape at byte {at}"),
+            Fault::BadEscape(at) => format!("bad \\u escape {:?} at byte {at}", hex(at)),
+            Fault::NotScalar(at) => format!("\\u escape {:?} is not a scalar value", hex(at)),
+            Fault::UnknownEscape(at) => format!(
+                "unknown escape {:?} at byte {at}",
+                found(at).unwrap_or_default()
+            ),
+            Fault::Trailing => format!("trailing data at byte {pos}"),
+        }
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
         while self
             .bytes
@@ -342,6 +622,7 @@ impl JsonCursor<'_> {
         }
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> bool {
         if self.bytes.get(self.pos) == Some(&b) {
             self.pos += 1;
@@ -351,19 +632,16 @@ impl JsonCursor<'_> {
         }
     }
 
-    fn require(&mut self, b: u8) -> Result<(), String> {
+    #[inline]
+    fn require(&mut self, b: u8) -> Option<()> {
         if self.eat(b) {
-            Ok(())
+            Some(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                char::from(b),
-                self.pos,
-                self.bytes.get(self.pos).map(|&c| char::from(c)),
-            ))
+            self.fail(Fault::Expected(b))
         }
     }
 
+    #[inline]
     fn eat_keyword(&mut self, word: &str) -> bool {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -373,81 +651,131 @@ impl JsonCursor<'_> {
         }
     }
 
-    fn scalar(&mut self) -> Result<JsonScalar, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(JsonScalar::Text(self.string()?)),
-            Some(b't') if self.eat_keyword("true") => Ok(JsonScalar::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(JsonScalar::Bool(false)),
-            Some(b'n') if self.eat_keyword("null") => Ok(JsonScalar::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "expected a scalar at byte {}, found {:?}",
-                self.pos,
-                other.map(|&c| char::from(c)),
-            )),
+    /// The line from `start` to the cursor. Every offset the cursor
+    /// stops at borders an ASCII byte, so the slice is always on
+    /// character boundaries.
+    #[inline]
+    fn slice(&mut self, start: usize) -> Option<&'a str> {
+        match self.text.get(start..self.pos) {
+            Some(text) => Some(text),
+            None => self.fail(Fault::Utf8(start)),
         }
     }
 
-    fn number(&mut self) -> Result<JsonScalar, String> {
+    #[inline]
+    fn scalar(&mut self) -> Option<JsonToken<'a>> {
+        match self.bytes.get(self.pos) {
+            Some(b'"') => Some(JsonToken::Text(self.string()?)),
+            Some(b't') if self.eat_keyword("true") => Some(JsonToken::Bool(true)),
+            Some(b'f') if self.eat_keyword("false") => Some(JsonToken::Bool(false)),
+            Some(b'n') if self.eat_keyword("null") => Some(JsonToken::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => self.fail(Fault::Scalar),
+        }
+    }
+
+    /// A number token: the longest run of digits, signs, `.`, `e` and
+    /// `E`, which must be one `str::parse::<f64>` accepts. The grammar
+    /// (`[+-]? (d+ | d+ '.' d* | d* '.' d+) ([eE] [+-]? d+)?`) is checked
+    /// as the run is scanned, without converting the value: the field
+    /// parser that reads it converts it once. Over the run's alphabet
+    /// this is the whole of the standard library's grammar.
+    #[inline]
+    fn number(&mut self) -> Option<JsonToken<'a>> {
         let start = self.pos;
+        self.eat(b'-');
+        let whole = self.digits();
+        let fraction = if self.eat(b'.') { self.digits() } else { 0 };
+        let mut valid = whole + fraction > 0;
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            valid &= self.digits() > 0;
+        }
+        // A run that goes on past the grammar is one bad token.
         while self
             .bytes
             .get(self.pos)
             .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
         {
             self.pos += 1;
+            valid = false;
         }
-        // The token set above is ASCII, so the slice is valid UTF-8.
-        let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        let parsed: Result<f64, _> = raw.parse();
-        if parsed.is_err() {
-            return Err(format!("bad number {raw:?} at byte {start}"));
+        if !valid {
+            return self.fail(Fault::Number(start));
         }
-        Ok(JsonScalar::Number(raw))
+        Some(JsonToken::Number(self.slice(start)?))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Advances over ASCII digits; returns how many.
+    #[inline]
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Advances over a maximal run of string bytes that need no escape
+    /// handling.
+    #[inline]
+    fn plain_run(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+        {
+            self.pos += 1;
+        }
+    }
+
+    /// A string, borrowed from the line unless it holds an escape.
+    #[inline]
+    fn string(&mut self) -> Option<Cow<'a, str>> {
         self.require(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.plain_run();
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            let text = self.slice(start)?;
+            self.pos += 1;
+            return Some(Cow::Borrowed(text));
+        }
+        self.escaped_string(start).map(Cow::Owned)
+    }
+
+    /// The rest of a string whose plain run from `start` ended at an
+    /// escape, a control character or the end of the line.
+    #[cold]
+    fn escaped_string(&mut self, start: usize) -> Option<String> {
+        let mut out = self.slice(start)?.to_string();
         loop {
-            let start = self.pos;
-            // Consume a maximal unescaped run in one UTF-8-safe slice.
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
-            {
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?;
-                out.push_str(run);
-            }
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Some(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                Some(_) => {
-                    return Err(format!("unescaped control character at byte {}", self.pos));
-                }
-                None => return Err("unterminated string".to_string()),
+                Some(_) => return self.fail(Fault::Control),
+                None => return self.fail(Fault::Unterminated),
             }
+            let run = self.pos;
+            self.plain_run();
+            out.push_str(self.slice(run)?);
         }
     }
 
-    fn escape(&mut self) -> Result<char, String> {
+    fn escape(&mut self) -> Option<char> {
         let at = self.pos;
         let Some(&b) = self.bytes.get(self.pos) else {
-            return Err("unterminated escape".to_string());
+            return self.fail(Fault::UnterminatedEscape);
         };
         self.pos += 1;
-        Ok(match b {
+        Some(match b {
             b'"' => '"',
             b'\\' => '\\',
             b'/' => '/',
@@ -457,26 +785,26 @@ impl JsonCursor<'_> {
             b'b' => '\u{8}',
             b'f' => '\u{c}',
             b'u' => {
-                let hex = self
+                let Some(hex) = self
                     .bytes
                     .get(self.pos..self.pos + 4)
                     .and_then(|h| std::str::from_utf8(h).ok())
-                    .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
-                let code = u32::from_str_radix(hex, 16)
-                    .map_err(|_| format!("bad \\u escape {hex:?} at byte {at}"))?;
+                else {
+                    return self.fail(Fault::TruncatedEscape(at));
+                };
+                let Ok(code) = u32::from_str_radix(hex, 16) else {
+                    return self.fail(Fault::BadEscape(at));
+                };
                 self.pos += 4;
                 // Surrogate pairs are rejected rather than decoded: the
                 // writers in this workspace never emit them (non-ASCII
                 // passes through as UTF-8).
-                char::from_u32(code)
-                    .ok_or_else(|| format!("\\u escape {hex:?} is not a scalar value"))?
+                match char::from_u32(code) {
+                    Some(c) => c,
+                    None => return self.fail(Fault::NotScalar(at)),
+                }
             }
-            other => {
-                return Err(format!(
-                    "unknown escape {:?} at byte {at}",
-                    char::from(other)
-                ))
-            }
+            _ => return self.fail(Fault::UnknownEscape(at)),
         })
     }
 }
@@ -914,8 +1242,8 @@ mod tests {
         assert_eq!(jsonl_field(&fields, "rater").unwrap().as_u64(), Some(17));
         assert_eq!(jsonl_field(&fields, "day").unwrap().as_f64(), Some(12.5));
         assert_eq!(
-            jsonl_field(&fields, "source").unwrap().as_text(),
-            Some("fair")
+            jsonl_field(&fields, "source"),
+            Some(&JsonScalar::Text("fair".into()))
         );
         assert_eq!(jsonl_field(&fields, "ok").unwrap(), &JsonScalar::Bool(true));
         assert_eq!(jsonl_field(&fields, "gone").unwrap(), &JsonScalar::Null);
@@ -936,8 +1264,8 @@ mod tests {
     fn jsonl_strings_unescape() {
         let fields = parse_jsonl_object(r#"{"s":"a\n\"b\"\\c\u0041"}"#).unwrap();
         assert_eq!(
-            jsonl_field(&fields, "s").unwrap().as_text(),
-            Some("a\n\"b\"\\cA")
+            jsonl_field(&fields, "s"),
+            Some(&JsonScalar::Text("a\n\"b\"\\cA".into()))
         );
     }
 
@@ -976,5 +1304,433 @@ mod tests {
         ] {
             assert!(parse_jsonl_object(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// The owned JSONL reader and number renderer the scanner and the
+    /// appending writer replaced, kept verbatim as the oracles the
+    /// properties below hold them to.
+    mod oracle {
+        use super::super::JsonScalar;
+
+        pub fn json_number(x: f64) -> String {
+            let s = x.to_string();
+            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        }
+
+        pub fn parse_jsonl_object(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
+            let mut p = JsonCursor {
+                bytes: line.as_bytes(),
+                pos: 0,
+            };
+            p.skip_ws();
+            p.require(b'{')?;
+            let mut fields: Vec<(String, JsonScalar)> = Vec::new();
+            p.skip_ws();
+            if !p.eat(b'}') {
+                loop {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    if fields.iter().any(|(k, _)| *k == key) {
+                        return Err(format!("duplicate key {key:?}"));
+                    }
+                    p.skip_ws();
+                    p.require(b':')?;
+                    p.skip_ws();
+                    let value = p.scalar()?;
+                    fields.push((key, value));
+                    p.skip_ws();
+                    if p.eat(b',') {
+                        continue;
+                    }
+                    p.require(b'}')?;
+                    break;
+                }
+            }
+            p.skip_ws();
+            if p.pos != p.bytes.len() {
+                return Err(format!("trailing data at byte {}", p.pos));
+            }
+            Ok(fields)
+        }
+
+        struct JsonCursor<'a> {
+            bytes: &'a [u8],
+            pos: usize,
+        }
+
+        impl JsonCursor<'_> {
+            fn skip_ws(&mut self) {
+                while self
+                    .bytes
+                    .get(self.pos)
+                    .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+                {
+                    self.pos += 1;
+                }
+            }
+
+            fn eat(&mut self, b: u8) -> bool {
+                if self.bytes.get(self.pos) == Some(&b) {
+                    self.pos += 1;
+                    true
+                } else {
+                    false
+                }
+            }
+
+            fn require(&mut self, b: u8) -> Result<(), String> {
+                if self.eat(b) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "expected {:?} at byte {}, found {:?}",
+                        char::from(b),
+                        self.pos,
+                        self.bytes.get(self.pos).map(|&c| char::from(c)),
+                    ))
+                }
+            }
+
+            fn eat_keyword(&mut self, word: &str) -> bool {
+                if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+                    self.pos += word.len();
+                    true
+                } else {
+                    false
+                }
+            }
+
+            fn scalar(&mut self) -> Result<JsonScalar, String> {
+                match self.bytes.get(self.pos) {
+                    Some(b'"') => Ok(JsonScalar::Text(self.string()?)),
+                    Some(b't') if self.eat_keyword("true") => Ok(JsonScalar::Bool(true)),
+                    Some(b'f') if self.eat_keyword("false") => Ok(JsonScalar::Bool(false)),
+                    Some(b'n') if self.eat_keyword("null") => Ok(JsonScalar::Null),
+                    Some(b'-' | b'0'..=b'9') => self.number(),
+                    other => Err(format!(
+                        "expected a scalar at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|&c| char::from(c)),
+                    )),
+                }
+            }
+
+            fn number(&mut self) -> Result<JsonScalar, String> {
+                let start = self.pos;
+                while self
+                    .bytes
+                    .get(self.pos)
+                    .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                {
+                    self.pos += 1;
+                }
+                let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+                let parsed: Result<f64, _> = raw.parse();
+                if parsed.is_err() {
+                    return Err(format!("bad number {raw:?} at byte {start}"));
+                }
+                Ok(JsonScalar::Number(raw))
+            }
+
+            fn string(&mut self) -> Result<String, String> {
+                self.require(b'"')?;
+                let mut out = String::new();
+                loop {
+                    let start = self.pos;
+                    while self
+                        .bytes
+                        .get(self.pos)
+                        .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    if self.pos > start {
+                        let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?;
+                        out.push_str(run);
+                    }
+                    match self.bytes.get(self.pos) {
+                        Some(b'"') => {
+                            self.pos += 1;
+                            return Ok(out);
+                        }
+                        Some(b'\\') => {
+                            self.pos += 1;
+                            out.push(self.escape()?);
+                        }
+                        Some(_) => {
+                            return Err(format!(
+                                "unescaped control character at byte {}",
+                                self.pos
+                            ));
+                        }
+                        None => return Err("unterminated string".to_string()),
+                    }
+                }
+            }
+
+            fn escape(&mut self) -> Result<char, String> {
+                let at = self.pos;
+                let Some(&b) = self.bytes.get(self.pos) else {
+                    return Err("unterminated escape".to_string());
+                };
+                self.pos += 1;
+                Ok(match b {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'u' => {
+                        let hex = self
+                            .bytes
+                            .get(self.pos..self.pos + 4)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+                        let code = u32::from_str_radix(hex, 16)
+                            .map_err(|_| format!("bad \\u escape {hex:?} at byte {at}"))?;
+                        self.pos += 4;
+                        char::from_u32(code)
+                            .ok_or_else(|| format!("\\u escape {hex:?} is not a scalar value"))?
+                    }
+                    other => {
+                        return Err(format!(
+                            "unknown escape {:?} at byte {at}",
+                            char::from(other)
+                        ))
+                    }
+                })
+            }
+        }
+    }
+
+    use crate::rng::{RrsRng, Xoshiro256pp};
+
+    fn pick<'a>(rng: &mut Xoshiro256pp, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// A JSON key or string body, plain, escaped (`rater`-style or
+    /// with short escapes) or non-ASCII.
+    fn draw_string(rng: &mut Xoshiro256pp) -> String {
+        let plain = pick(rng, &["rater", "day", "a", "", "fair", "note", "日本", "é"]);
+        let mut out = String::from("\"");
+        for c in plain.chars() {
+            match rng.gen_range(0u8..6) {
+                0 if c.is_ascii() => out.push_str(&format!("\\u{:04x}", c as u32)),
+                1 if c.is_ascii() => out.push_str(&format!("\\u{:04X}", c as u32)),
+                _ => out.push(c),
+            }
+        }
+        out.push_str(pick(
+            rng,
+            &["", "", "", "\\n", "\\\"", "\\\\", "\\/", "\\t", "\\u00e9"],
+        ));
+        out.push('"');
+        out
+    }
+
+    /// A scalar token, well formed or one the number rules refuse.
+    fn draw_scalar(rng: &mut Xoshiro256pp) -> String {
+        match rng.gen_range(0u8..4) {
+            0 => draw_string(rng),
+            1 => pick(rng, &["true", "false", "null"]).to_string(),
+            2 => pick(
+                rng,
+                &[
+                    "0",
+                    "7",
+                    "-1",
+                    "7.9",
+                    "1e3",
+                    "1E+3",
+                    "-0.5",
+                    "1e309",
+                    "4294967296",
+                    "18446744073709551616",
+                    "1.",
+                    "-.5",
+                    "0.1e-2",
+                    "00",
+                    "1-2",
+                    "--1",
+                    "1e",
+                    "1e+",
+                    "-",
+                    "1.2.3",
+                    "+1",
+                    ".5",
+                    "5.5",
+                ],
+            )
+            .to_string(),
+            _ => {
+                // Random runs over the number scanner's alphabet.
+                let len = rng.gen_range(1usize..8);
+                let first = pick(rng, &["-", "0", "1", "9"]).to_string();
+                (1..len).fold(first, |mut t, _| {
+                    t.push_str(pick(rng, &["0", "5", "-", "+", ".", "e", "E"]));
+                    t
+                })
+            }
+        }
+    }
+
+    fn draw_ws(rng: &mut Xoshiro256pp) -> &'static str {
+        ["", "", "", " ", "\t", "\r", "  ", "\n"][rng.gen_range(0usize..8)]
+    }
+
+    /// A flat object, then, now and then, one byte-level mutation.
+    fn draw_line(rng: &mut Xoshiro256pp) -> String {
+        let mut line = String::from(draw_ws(rng));
+        line.push('{');
+        let fields = rng.gen_range(0usize..5);
+        for i in 0..fields {
+            if i > 0 {
+                line.push_str(draw_ws(rng));
+                line.push(',');
+            }
+            line.push_str(draw_ws(rng));
+            line.push_str(&draw_string(rng));
+            line.push_str(draw_ws(rng));
+            line.push(':');
+            line.push_str(draw_ws(rng));
+            line.push_str(&draw_scalar(rng));
+        }
+        line.push_str(draw_ws(rng));
+        line.push('}');
+        line.push_str(draw_ws(rng));
+        if rng.gen_range(0u8..3) == 0 {
+            let mut at = rng.gen_range(0..=line.len());
+            while !line.is_char_boundary(at) {
+                at -= 1;
+            }
+            match rng.gen_range(0u8..3) {
+                0 => line.truncate(at),
+                1 => line.insert_str(
+                    at,
+                    pick(
+                        rng,
+                        &["{", "}", "[", "]", ":", ",", "\"", "\\", "x", "\u{1}", "é"],
+                    ),
+                ),
+                _ => {
+                    let end = line[at..].chars().next().map_or(at, |c| at + c.len_utf8());
+                    line.replace_range(at..end, "");
+                }
+            }
+        }
+        line
+    }
+
+    crate::props! {
+        #[test]
+        fn the_scanner_reads_every_line_as_the_owned_parser_did(seed in 0u64..u64::MAX) {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let line = draw_line(&mut rng);
+            let expected = oracle::parse_jsonl_object(&line);
+            crate::prop_assert_eq!(parse_jsonl_object(&line), expected.clone(), "line {:?}", line);
+
+            // The slot collector: same verdict, same tokens, and the
+            // first key outside the slots in line order.
+            let names = ["rater", "day", "a"];
+            let scanned = scan_jsonl_fields(&line, names);
+            match (&scanned, &expected) {
+                (Ok(slots), Ok(fields)) => {
+                    crate::prop_assert_eq!(slots.fields, fields.len());
+                    for (name, slot) in names.iter().zip(&slots.values) {
+                        let owned = slot.as_ref().map(|token| match token {
+                            JsonToken::Number(raw) => JsonScalar::Number(raw.to_string()),
+                            JsonToken::Text(text) => JsonScalar::Text(text.to_string()),
+                            JsonToken::Bool(b) => JsonScalar::Bool(*b),
+                            JsonToken::Null => JsonScalar::Null,
+                        });
+                        crate::prop_assert_eq!(owned.as_ref(), jsonl_field(fields, name), "line {:?}", line);
+                    }
+                    let unknown = fields.iter().map(|(k, _)| k.as_str()).find(|k| !names.contains(k));
+                    crate::prop_assert_eq!(slots.unknown.as_deref(), unknown);
+                }
+                (Err(got), Err(want)) => crate::prop_assert_eq!(got, want, "line {:?}", line),
+                _ => panic!("verdicts differ on {line:?}: {scanned:?} vs {expected:?}"),
+            }
+        }
+
+        #[test]
+        fn number_tokens_follow_the_standard_float_grammar(seed in 0u64..u64::MAX) {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let token = draw_scalar(&mut rng);
+            let line = format!("{{\"n\":{token}}}");
+            crate::prop_assert_eq!(parse_jsonl_object(&line), oracle::parse_jsonl_object(&line));
+        }
+
+        #[test]
+        fn pushed_numbers_equal_the_parent_renderer(x in crate::check::any_f64()) {
+            if x.is_finite() {
+                crate::prop_assert_eq!(json_number(x), oracle::json_number(x));
+                let mut buf = String::from("\"day\":");
+                push_json_number(&mut buf, x);
+                crate::prop_assert_eq!(buf, format!("\"day\":{}", oracle::json_number(x)));
+            }
+        }
+    }
+
+    crate::props! {
+        #[test]
+        fn quarter_values_and_integers_render_as_the_parent_did(seed in 0u64..u64::MAX) {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            // Quarters across the fast path's range and past its bound.
+            let quarters = rng.next_u64() >> rng.gen_range(0u32..64);
+            let sign = if rng.gen_range(0u8..2) == 0 { 1.0 } else { -1.0 };
+            let x = sign * quarters as f64 / 4.0;
+            crate::prop_assert_eq!(json_number(x), oracle::json_number(x), "{:e}", x);
+            let v = rng.next_u64() >> rng.gen_range(0u32..64);
+            let mut buf = String::from("7");
+            push_json_uint(&mut buf, v);
+            crate::prop_assert_eq!(buf, format!("7{v}"));
+        }
+    }
+
+    #[test]
+    fn rendered_integral_and_extreme_numbers_keep_their_shape() {
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            4.25,
+            -4.75,
+            5.0,
+            2.5e14 - 0.25,
+            2.5e14,
+            1e21,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ] {
+            assert_eq!(json_number(x), oracle::json_number(x), "{x:e}");
+        }
+    }
+
+    #[test]
+    fn scanned_strings_borrow_unless_escaped() {
+        let slots = scan_jsonl_fields(r#"{"a":"plain","b":"f\u0061ir"}"#, ["a", "b"]).unwrap();
+        assert!(matches!(
+            slots.values[0],
+            Some(JsonToken::Text(Cow::Borrowed("plain")))
+        ));
+        assert!(matches!(&slots.values[1], Some(JsonToken::Text(Cow::Owned(s))) if s == "fair"));
+        let slots = scan_jsonl_fields(r#"{"a":1,"x":2,"y":3}"#, ["a"]).unwrap();
+        assert_eq!(slots.values[0], Some(JsonToken::Number("1")));
+        assert_eq!((slots.fields, slots.unknown.as_deref()), (3, Some("x")));
+        // A duplicate is refused before the broken value after it.
+        let err = scan_jsonl_fields(r#"{"x":1,"x":--2}"#, ["a"]).unwrap_err();
+        assert_eq!(err, "duplicate key \"x\"");
     }
 }

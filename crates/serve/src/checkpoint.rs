@@ -31,7 +31,8 @@
 //! format version is unchanged: the reader skips those records without
 //! parsing them, so a directory written either way opens under both.
 
-use rrs_core::io::{jsonl_field, parse_jsonl_object, JsonScalar};
+use rrs_core::io::{scan_jsonl_fields, JsonToken};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -60,33 +61,37 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Renders the checkpoint as its JSONL record stream.
+    /// Renders the checkpoint as its JSONL record stream, into one
+    /// buffer.
     fn to_jsonl(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        lines.push(format!(
+        let records = self.trust.len() + self.marks.len();
+        let mut out = String::with_capacity(80 * (records + 2));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(
+            out,
             "{{\"record\":\"checkpoint\",\"version\":{CHECKPOINT_VERSION},\"epochs\":{},\"wal_events\":{}}}",
             self.epochs, self.wal_events,
-        ));
+        );
         for &(rater, s_bits, f_bits) in &self.trust {
-            lines.push(format!(
+            let _ = writeln!(
+                out,
                 "{{\"record\":\"trust\",\"rater\":{rater},\"s_bits\":{s_bits},\"f_bits\":{f_bits}}}"
-            ));
+            );
         }
         for &id in &self.marks {
-            lines.push(format!("{{\"record\":\"mark\",\"id\":{id}}}"));
+            let _ = writeln!(out, "{{\"record\":\"mark\",\"id\":{id}}}");
         }
-        lines.push(format!("{{\"record\":\"end\",\"lines\":{}}}", lines.len()));
-        let mut out = lines.join("\n");
-        out.push('\n');
+        let _ = writeln!(out, "{{\"record\":\"end\",\"lines\":{}}}", records + 1);
         out
     }
 
     /// Parses a checkpoint record stream.
     ///
     /// Strict: records must arrive in write order, the `end` sentinel
-    /// must match, and every field must parse — a checkpoint that fails
-    /// here is corrupt and recovery must refuse rather than guess. The
-    /// only records not parsed are an earlier writer's detector cache
+    /// must match, every field must parse, and a record holding any key
+    /// beyond its own is refused — a checkpoint that fails here is
+    /// corrupt and recovery must refuse rather than guess. The only
+    /// records not parsed are an earlier writer's detector cache
     /// records, skipped between the marks and the sentinel.
     ///
     /// Errors are `(line_number, message)` (1-based).
@@ -95,7 +100,8 @@ impl Checkpoint {
             lines: text.lines().collect(),
             at: 0,
         };
-        let header = reader.next_record("checkpoint")?;
+        let header =
+            reader.next_record("checkpoint", ["record", "version", "epochs", "wal_events"])?;
         let version = header.u64_field("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(header.err(format!(
@@ -107,7 +113,7 @@ impl Checkpoint {
 
         let mut trust = Vec::new();
         while reader.peek_kind() == Some("trust") {
-            let r = reader.next_record("trust")?;
+            let r = reader.next_record("trust", ["record", "rater", "s_bits", "f_bits"])?;
             let rater = r.u64_field("rater")?;
             if rater > u64::from(u32::MAX) {
                 return Err(r.err(format!("rater {rater} exceeds the id range")));
@@ -116,14 +122,14 @@ impl Checkpoint {
         }
         let mut marks = Vec::new();
         while reader.peek_kind() == Some("mark") {
-            let r = reader.next_record("mark")?;
+            let r = reader.next_record("mark", ["record", "id"])?;
             marks.push(r.u64_field("id")?);
         }
         // An earlier writer's detector cache records: skipped unparsed.
         while matches!(reader.peek_kind(), Some("product" | "cursor" | "band")) {
             reader.at += 1;
         }
-        let end = reader.next_record("end")?;
+        let end = reader.next_record("end", ["record", "lines"])?;
         let expected = end.u64_field("lines")?;
         let actual = reader.at as u64 - 1;
         if expected != actual {
@@ -146,24 +152,33 @@ impl Checkpoint {
     }
 }
 
-/// One parsed record plus its provenance for error messages.
-struct Record {
+/// One record's fields, scanned into fixed slots, plus its provenance
+/// for error messages.
+struct Record<'a, const N: usize> {
     line_no: usize,
-    fields: Vec<(String, JsonScalar)>,
+    names: [&'static str; N],
+    values: [Option<JsonToken<'a>>; N],
 }
 
-impl Record {
+impl<const N: usize> Record<'_, N> {
     fn err(&self, message: String) -> (usize, String) {
         (self.line_no, message)
     }
 
     fn u64_field(&self, name: &str) -> Result<u64, (usize, String)> {
-        match jsonl_field(&self.fields, name) {
-            Some(scalar) => scalar
-                .as_u64()
-                .ok_or_else(|| self.err(format!("field {name:?} must be a u64 integer"))),
-            None => Err(self.err(format!("missing field {name:?}"))),
+        let slot = self
+            .names
+            .iter()
+            .position(|n| *n == name)
+            .and_then(|i| self.values.get(i));
+        let Some(Some(token)) = slot else {
+            return Err(self.err(format!("missing field {name:?}")));
+        };
+        match token {
+            JsonToken::Number(raw) => raw.parse().ok(),
+            _ => None,
         }
+        .ok_or_else(|| self.err(format!("field {name:?} must be a u64 integer")))
     }
 }
 
@@ -181,7 +196,13 @@ impl<'a> RecordReader<'a> {
         rest.split('"').next()
     }
 
-    fn next_record(&mut self, expect: &str) -> Result<Record, (usize, String)> {
+    /// Reads the next record, which must be of kind `expect` and hold no
+    /// key beyond `names`, the `record` tag first.
+    fn next_record<const N: usize>(
+        &mut self,
+        expect: &str,
+        names: [&'static str; N],
+    ) -> Result<Record<'a, N>, (usize, String)> {
         let line_no = self.at + 1;
         let Some(line) = self.lines.get(self.at) else {
             return Err((
@@ -189,19 +210,29 @@ impl<'a> RecordReader<'a> {
                 format!("expected a {expect:?} record, found end of file"),
             ));
         };
-        let fields = parse_jsonl_object(line).map_err(|e| (line_no, e))?;
-        let kind = jsonl_field(&fields, "record")
-            .and_then(JsonScalar::as_text)
-            .map(str::to_string)
-            .ok_or_else(|| (line_no, "missing field \"record\"".to_string()))?;
-        if kind != expect {
+        let slots = scan_jsonl_fields(line, names).map_err(|e| (line_no, e))?;
+        match slots.values.first() {
+            Some(Some(JsonToken::Text(kind))) if kind == expect => {}
+            Some(Some(JsonToken::Text(kind))) => {
+                return Err((
+                    line_no,
+                    format!("expected a {expect:?} record, found {kind:?}"),
+                ))
+            }
+            _ => return Err((line_no, "missing field \"record\"".to_string())),
+        }
+        if let Some(key) = slots.unknown {
             return Err((
                 line_no,
-                format!("expected a {expect:?} record, found {kind:?}"),
+                format!("unknown field {key:?} in a {expect:?} record"),
             ));
         }
         self.at += 1;
-        Ok(Record { line_no, fields })
+        Ok(Record {
+            line_no,
+            names,
+            values: slots.values,
+        })
     }
 }
 
@@ -360,5 +391,94 @@ mod tests {
         let product = lines.remove(lines.len() - 3);
         lines.insert(1, product);
         assert!(Checkpoint::from_jsonl(&stream(&lines, lines.len())).is_err());
+    }
+
+    /// The joined-lines renderer the one-buffer writer replaced, kept as
+    /// its oracle.
+    fn parent_to_jsonl(c: &Checkpoint) -> String {
+        let mut lines: Vec<String> = Vec::new();
+        lines.push(format!(
+            "{{\"record\":\"checkpoint\",\"version\":{CHECKPOINT_VERSION},\"epochs\":{},\"wal_events\":{}}}",
+            c.epochs, c.wal_events,
+        ));
+        for &(rater, s_bits, f_bits) in &c.trust {
+            lines.push(format!(
+                "{{\"record\":\"trust\",\"rater\":{rater},\"s_bits\":{s_bits},\"f_bits\":{f_bits}}}"
+            ));
+        }
+        for &id in &c.marks {
+            lines.push(format!("{{\"record\":\"mark\",\"id\":{id}}}"));
+        }
+        lines.push(format!("{{\"record\":\"end\",\"lines\":{}}}", lines.len()));
+        let mut out = lines.join("\n");
+        out.push('\n');
+        out
+    }
+
+    rrs_core::props! {
+        #[test]
+        fn checkpoint_text_equals_the_parent_renderer(seed in 0u64..u64::MAX) {
+            use rrs_core::rng::{RrsRng, Xoshiro256pp};
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let ckpt = Checkpoint {
+                epochs: rng.next_u64() >> rng.gen_range(0u32..64),
+                wal_events: rng.next_u64() >> rng.gen_range(0u32..64),
+                trust: (0..rng.gen_range(0usize..40))
+                    .map(|_| {
+                        let s = rng.gen_range(0.0..50.0);
+                        (rng.next_u64() as u32, f64::to_bits(s), rng.next_u64())
+                    })
+                    .collect(),
+                marks: (0..rng.gen_range(0usize..40)).map(|_| rng.next_u64()).collect(),
+            };
+            let text = ckpt.to_jsonl();
+            rrs_core::prop_assert_eq!(&text, &parent_to_jsonl(&ckpt));
+            rrs_core::prop_assert_eq!(Checkpoint::from_jsonl(&text), Ok(ckpt));
+        }
+    }
+
+    #[test]
+    fn a_record_with_an_extra_key_is_refused_naming_its_line() {
+        let dir = std::env::temp_dir().join(format!("rrs-ckpt-extra-{}", std::process::id()));
+        let text = sample().to_jsonl();
+        let lines: Vec<&str> = text.lines().collect();
+        // Header, a trust record, a mark and the sentinel, each with one
+        // key more than its kind holds, at its place in the stream.
+        for (at, kind) in [(0, "checkpoint"), (2, "trust"), (4, "mark"), (6, "end")] {
+            assert!(lines[at].contains(&format!("\"record\":\"{kind}\"")));
+            let mut edited = lines.clone();
+            let extra = lines[at].replacen('}', ",\"note\":7}", 1);
+            edited[at] = &extra;
+            let stream = edited.join("\n") + "\n";
+            let (line, message) = Checkpoint::from_jsonl(&stream).expect_err(kind);
+            assert_eq!(line, at + 1, "{kind}: {message}");
+            assert!(message.contains("\"note\""), "{kind}: {message}");
+
+            std::fs::create_dir_all(&dir).expect("create scratch dir");
+            std::fs::write(dir.join(CHECKPOINT_FILE), &stream).expect("write");
+            let err = read_checkpoint(&dir).expect_err(kind);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains(&format!("{CHECKPOINT_FILE}:{}:", at + 1)),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn duplicate_and_mistyped_fields_are_refused() {
+        let text = sample().to_jsonl();
+        for (from, to) in [
+            ("\"rater\":1,", "\"rater\":1,\"rater\":1,"),
+            ("\"id\":2", "\"id\":\"2\""),
+            ("\"id\":2", "\"id\":2.0"),
+            ("\"epochs\":3", "\"epochs\":-3"),
+        ] {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text);
+            assert!(Checkpoint::from_jsonl(&edited).is_err(), "accepted {to}");
+        }
     }
 }

@@ -22,8 +22,9 @@
 //! otherwise complete the fragment into a corrupt line. A *complete*
 //! line that fails to parse is corruption and refuses to load.
 
-use crate::dto::{submission_from_fields, RatingSubmission};
-use rrs_core::io::{jsonl_field, parse_jsonl_object, JsonScalar};
+use crate::dto::{submission_from_slots, RatingSubmission, LINE_CAPACITY};
+use rrs_core::io::{scan_jsonl_fields, JsonToken};
+use rrs_obs::rrs_warn;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -44,13 +45,16 @@ impl WalEvent {
     /// Serializes the event as one JSONL line (without the newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        self.push_jsonl(&mut line);
+        line
+    }
+
+    /// Appends the event's JSONL line (without the newline) to `buf`.
+    pub fn push_jsonl(&self, buf: &mut String) {
         match self {
-            WalEvent::Rating(s) => {
-                let body = s.to_jsonl();
-                // Splice the event tag in as the first field.
-                format!("{{\"event\":\"rating\",{}", &body[1..])
-            }
-            WalEvent::Epoch => "{\"event\":\"epoch\"}".to_string(),
+            WalEvent::Rating(s) => s.push_jsonl(buf, true),
+            WalEvent::Epoch => buf.push_str("{\"event\":\"epoch\"}"),
         }
     }
 
@@ -60,20 +64,26 @@ impl WalEvent {
     ///
     /// Returns a message describing the malformed field.
     pub fn from_jsonl(line: &str) -> Result<WalEvent, String> {
-        let fields = parse_jsonl_object(line)?;
-        match jsonl_field(&fields, "event") {
-            Some(JsonScalar::Text(kind)) if kind == "epoch" => {
-                if fields.len() != 1 {
+        let slots = scan_jsonl_fields(
+            line,
+            ["rater", "product", "day", "value", "source", "event"],
+        )?;
+        let [rater, product, day, value, source, event] = slots.values;
+        match event {
+            Some(JsonToken::Text(kind)) if kind == "epoch" => {
+                if slots.fields != 1 {
                     return Err("epoch event carries no other fields".to_string());
                 }
                 Ok(WalEvent::Epoch)
             }
             // The submission DTO's own validator, so WAL replay
             // enforces exactly the domains ingestion enforced.
-            Some(JsonScalar::Text(kind)) if kind == "rating" => {
-                submission_from_fields(&fields, Some("event")).map(WalEvent::Rating)
-            }
-            Some(JsonScalar::Text(kind)) => Err(format!("unknown event kind {kind:?}")),
+            Some(JsonToken::Text(kind)) if kind == "rating" => submission_from_slots(
+                &[rater, product, day, value, source],
+                slots.unknown.as_ref(),
+            )
+            .map(WalEvent::Rating),
+            Some(JsonToken::Text(kind)) => Err(format!("unknown event kind {kind:?}")),
             Some(_) => Err("field \"event\" must be a string".to_string()),
             None => Err("missing field \"event\"".to_string()),
         }
@@ -87,6 +97,43 @@ pub struct WalWriter {
     file: File,
     path: PathBuf,
     events: u64,
+    /// Byte length of the acknowledged log: where a failed append is
+    /// cut back to.
+    len: u64,
+    /// Set when a failed append could not be cut back off the file: the
+    /// log's tail is unknown, so it takes no appends until reopened.
+    broken: bool,
+}
+
+/// One-shot I/O failures the tests inject into the next append their
+/// thread makes.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Faults {
+    /// Fail the write after this many bytes reached the file.
+    write_after: Option<usize>,
+    /// Fail the sync after the whole batch was written.
+    sync: bool,
+    /// Fail the rollback of a failed append.
+    rollback: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    static FAULTS: std::cell::RefCell<Faults> = std::cell::RefCell::new(Faults::default());
+}
+
+/// Takes the injected fault `pick` finds, as the error it raises.
+#[cfg(test)]
+fn injected<T>(
+    pick: impl FnOnce(&mut Faults) -> Option<T>,
+    what: &str,
+) -> Option<(T, std::io::Error)> {
+    let fault = FAULTS.with(|f| pick(&mut f.borrow_mut()))?;
+    Some((
+        fault,
+        std::io::Error::other(format!("injected {what} failure")),
+    ))
 }
 
 impl WalWriter {
@@ -99,10 +146,13 @@ impl WalWriter {
     pub fn open(dir: &Path, existing_events: u64) -> std::io::Result<WalWriter> {
         let path = dir.join(WAL_FILE);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let len = file.metadata()?.len();
         Ok(WalWriter {
             file,
             path,
             events: existing_events,
+            len,
+            broken: false,
         })
     }
 
@@ -120,24 +170,71 @@ impl WalWriter {
 
     /// Appends a batch of events as one write and fsyncs before
     /// returning — after this returns `Ok`, the events survive a crash.
+    /// The lines are rendered straight into the one buffer written.
     ///
     /// # Errors
     ///
-    /// Propagates write/sync failures; on error the in-memory event
-    /// count is unchanged and the caller must not apply the batch.
+    /// Propagates write/sync failures. A failed append is cut back off
+    /// the file, so the log holds exactly the acknowledged events and
+    /// the in-memory event count is unchanged; the caller must not
+    /// apply the batch. If the cut fails too, this and every later
+    /// append fail until the log is reopened, since recovery then
+    /// decides what the tail holds.
     pub fn append_batch(&mut self, events: &[WalEvent]) -> std::io::Result<()> {
+        if self.broken {
+            return Err(std::io::Error::other(format!(
+                "{} has an unknown tail after a failed append; reopen it",
+                self.path.display()
+            )));
+        }
         if events.is_empty() {
             return Ok(());
         }
-        let mut buf = String::new();
+        let mut buf = String::with_capacity(events.len() * LINE_CAPACITY);
         for event in events {
-            buf.push_str(&event.to_jsonl());
+            event.push_jsonl(&mut buf);
             buf.push('\n');
         }
-        self.file.write_all(buf.as_bytes())?;
-        self.file.sync_data()?;
+        if let Err(e) = self.write_and_sync(buf.as_bytes()) {
+            if let Err(cut) = self.roll_back() {
+                self.broken = true;
+                rrs_warn!(
+                    "could not cut a failed append off {} ({cut}); refusing appends until it is reopened",
+                    self.path.display()
+                );
+            }
+            return Err(e);
+        }
+        self.len += buf.len() as u64;
         self.events += events.len() as u64;
         Ok(())
+    }
+
+    fn write_and_sync(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some((n, e)) = injected(|f| f.write_after.take(), "write") {
+            self.file.write_all(&bytes[..n.min(bytes.len())])?;
+            return Err(e);
+        }
+        self.file.write_all(bytes)?;
+        #[cfg(test)]
+        if let Some(((), e)) = injected(|f| std::mem::take(&mut f.sync).then_some(()), "sync") {
+            return Err(e);
+        }
+        self.file.sync_data()
+    }
+
+    /// Cuts the file back to the acknowledged log and syncs the cut.
+    fn roll_back(&mut self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(((), e)) = injected(
+            |f| std::mem::take(&mut f.rollback).then_some(()),
+            "rollback",
+        ) {
+            return Err(e);
+        }
+        self.file.set_len(self.len)?;
+        self.file.sync_all()
     }
 }
 
@@ -343,6 +440,129 @@ mod tests {
         std::fs::write(dir.join(WAL_FILE), b"{\"event\":\"compact\"}\n").expect("write");
         let err = read_wal(&dir).expect_err("must refuse");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn fixture_lines_re_encode_to_their_own_bytes() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/detector-cache-checkpoint")
+            .join(WAL_FILE);
+        let text = std::fs::read_to_string(path).expect("fixture WAL");
+        assert!(text.lines().count() > 10);
+        for line in text.lines() {
+            let event = WalEvent::from_jsonl(line).expect("fixture line parses");
+            assert_eq!(event.to_jsonl(), line);
+        }
+    }
+
+    rrs_core::props! {
+        #[test]
+        fn appended_bytes_equal_the_parent_renderer(seed in 0u64..u64::MAX) {
+            use rrs_core::rng::{RrsRng, Xoshiro256pp};
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let events: Vec<WalEvent> = (0..rng.gen_range(1usize..20))
+                .map(|_| {
+                    if rng.gen_range(0u8..6) == 0 {
+                        WalEvent::Epoch
+                    } else {
+                        WalEvent::Rating(crate::dto::tests::draw_submission(&mut rng))
+                    }
+                })
+                .collect();
+            let dir = tmp_dir(&format!("bytes-{seed}"));
+            let mut wal = WalWriter::open(&dir, 0).expect("open");
+            wal.append_batch(&events).expect("append");
+            let expected: String = events
+                .iter()
+                .map(|e| crate::dto::tests::oracle::event_to_jsonl(e) + "\n")
+                .collect();
+            let written = std::fs::read_to_string(dir.join(WAL_FILE)).expect("read back");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+            rrs_core::prop_assert_eq!(written, expected);
+        }
+    }
+
+    /// What a failed append must leave: the acknowledged bytes, the
+    /// acknowledged count, and a writer whose next append lands cleanly.
+    fn assert_rolled_back(fault: impl FnOnce(&mut Faults), name: &str) {
+        let dir = tmp_dir(name);
+        let a = submission(r#"{"rater":1,"product":0,"day":0,"value":3}"#);
+        let b = submission(r#"{"rater":2,"product":0,"day":0.5,"value":4}"#);
+        let c = submission(r#"{"rater":3,"product":1,"day":1,"value":2.5}"#);
+        let mut wal = WalWriter::open(&dir, 0).expect("open");
+        wal.append_batch(&[WalEvent::Rating(a)]).expect("append");
+        let acknowledged = std::fs::read(dir.join(WAL_FILE)).expect("read");
+
+        FAULTS.with(|f| fault(&mut f.borrow_mut()));
+        wal.append_batch(&[WalEvent::Rating(b), WalEvent::Epoch, WalEvent::Rating(b)])
+            .expect_err("the injected fault fails the append");
+        assert_eq!(
+            std::fs::read(dir.join(WAL_FILE)).expect("read"),
+            acknowledged,
+            "{name}: the failed batch must leave no bytes"
+        );
+        assert_eq!(wal.events(), 1);
+
+        wal.append_batch(&[WalEvent::Rating(c)])
+            .expect("the next append");
+        assert_eq!(wal.events(), 2);
+        let replay = read_wal(&dir).expect("the log still loads");
+        assert!(!replay.torn_tail);
+        assert_eq!(
+            replay.events,
+            vec![WalEvent::Rating(a), WalEvent::Rating(c)]
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_failed_write_is_cut_back_off_the_log() {
+        // Nothing written, a torn first line, one whole line, and all
+        // but the last byte.
+        let line = WalEvent::Rating(submission(r#"{"rater":2,"product":0,"day":0.5,"value":4}"#))
+            .to_jsonl()
+            .len();
+        for after in [0, 7, line + 1, 2 * line + 19] {
+            assert_rolled_back(|f| f.write_after = Some(after), &format!("write-{after}"));
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_is_cut_back_off_the_log() {
+        assert_rolled_back(|f| f.sync = true, "sync");
+    }
+
+    #[test]
+    fn a_log_that_cannot_be_cut_back_refuses_appends_until_reopened() {
+        let dir = tmp_dir("unrecoverable");
+        let a = submission(r#"{"rater":1,"product":0,"day":0,"value":3}"#);
+        let mut wal = WalWriter::open(&dir, 0).expect("open");
+        wal.append_batch(&[WalEvent::Rating(a)]).expect("append");
+        FAULTS.with(|f| {
+            let mut f = f.borrow_mut();
+            f.write_after = Some(9);
+            f.rollback = true;
+        });
+        wal.append_batch(&[WalEvent::Rating(a)])
+            .expect_err("injected write fault");
+        let torn = std::fs::read(dir.join(WAL_FILE)).expect("read");
+        wal.append_batch(&[WalEvent::Epoch])
+            .expect_err("a log with an unknown tail takes no appends");
+        assert_eq!(wal.events(), 1);
+        assert_eq!(std::fs::read(dir.join(WAL_FILE)).expect("read"), torn);
+
+        // Reopening is recovery's job: it cuts the torn tail and the
+        // new writer appends again.
+        drop(wal);
+        let replay = read_wal(&dir).expect("replay");
+        assert!(replay.torn_tail);
+        truncate_wal(&dir, replay.complete_len).expect("truncate");
+        let mut wal = WalWriter::open(&dir, 1).expect("reopen");
+        wal.append_batch(&[WalEvent::Epoch])
+            .expect("append after reopen");
+        let replay = read_wal(&dir).expect("replay");
+        assert_eq!(replay.events, vec![WalEvent::Rating(a), WalEvent::Epoch]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

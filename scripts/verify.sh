@@ -5,7 +5,7 @@
 #     (RRS_PROP_CASES=1024 cargo test -q --workspace --offline);
 #   - the servebench correctness gates (epoch and read-mix workloads)
 #     and its traced epoch run;
-#   - every bench but ingest: detection, suite, online, obs and lint.
+#   - every bench but ingest: detection, suite, online, obs, lint and codec.
 # Everything must pass offline — the workspace has zero external
 # dependencies, and this script is what keeps it that way.
 set -euo pipefail
