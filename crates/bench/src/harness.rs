@@ -12,7 +12,10 @@
 //! one batch takes at least [`TARGET_BATCH_NANOS`] — then timed for a
 //! fixed number of batches. The JSON records mean/median/min/max/std-dev
 //! nanoseconds **per iteration**, so numbers are comparable across
-//! machines regardless of the calibrated batch size.
+//! machines regardless of the calibrated batch size. A row timed with
+//! [`Harness::bench_per`] is per item instead, and says so itself:
+//! `"unit": "ns_per_item"` and `"items_per_iter"` override the suite's
+//! `"unit"` for that row.
 //!
 //! Environment knobs:
 //!
@@ -30,13 +33,17 @@ const TARGET_BATCH_NANOS: u128 = 20_000_000; // 20 ms
 /// Default number of measured batches per bench.
 const DEFAULT_SAMPLES: usize = 10;
 
-/// Summary statistics for one bench, in nanoseconds per iteration.
+/// Summary statistics for one bench, in nanoseconds per iteration, or
+/// per item when `items_per_iter` is set.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
     /// Bench name as shown in output and JSON.
     pub name: String,
     /// Iterations per measured batch (set by calibration).
     pub iters_per_sample: u64,
+    /// Items one iteration handles, for a row timed per item by
+    /// [`Harness::bench_per`]; `None` for a row timed per iteration.
+    pub items_per_iter: Option<u64>,
     /// Number of measured batches.
     pub samples: usize,
     /// Mean ns/iter across batches.
@@ -132,13 +139,17 @@ impl Harness {
     /// The closure's return value is passed through [`black_box`] so the
     /// optimizer cannot elide the work.
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, body: F) {
-        self.bench_per(name, 1, body);
+        self.measure(name, None, body);
     }
 
     /// Times `body` like [`bench`](Harness::bench), when one call of it
     /// handles `items` items (a batch's ratings, a file's lines), and
     /// records the time per item.
-    pub fn bench_per<T, F: FnMut() -> T>(&mut self, name: &str, items: u64, mut body: F) {
+    pub fn bench_per<T, F: FnMut() -> T>(&mut self, name: &str, items: u64, body: F) {
+        self.measure(name, Some(items), body);
+    }
+
+    fn measure<T, F: FnMut() -> T>(&mut self, name: &str, items: Option<u64>, mut body: F) {
         // Calibrate: grow the batch until it costs ≥ TARGET_BATCH_NANOS.
         let mut iters: u64 = 1;
         loop {
@@ -161,7 +172,8 @@ impl Harness {
                 for _ in 0..iters {
                     black_box(body());
                 }
-                start.elapsed().as_nanos() as f64 / (iters as f64 * items.max(1) as f64)
+                let per_call = items.unwrap_or(1).max(1);
+                start.elapsed().as_nanos() as f64 / (iters as f64 * per_call as f64)
             })
             .collect();
         per_iter.sort_by(f64::total_cmp);
@@ -177,6 +189,7 @@ impl Harness {
         let result = BenchResult {
             name: name.to_string(),
             iters_per_sample: iters,
+            items_per_iter: items,
             samples: per_iter.len(),
             mean_ns: mean,
             median_ns: median,
@@ -188,7 +201,7 @@ impl Harness {
             "{:<32} {:>12.1} ns/{} (median {:.1}, ±{:.1}, {} iters × {} samples)",
             result.name,
             result.mean_ns,
-            if items > 1 { "item" } else { "iter" },
+            if items.is_some() { "item" } else { "iter" },
             result.median_ns,
             result.std_dev_ns,
             result.iters_per_sample,
@@ -234,8 +247,11 @@ impl Harness {
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
+            let per_item = r.items_per_iter.map_or(String::new(), |items| {
+                format!("\"unit\": \"ns_per_item\", \"items_per_iter\": {items}, ")
+            });
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters_per_sample\": {}, \"samples\": {}, \
+                "    {{\"name\": \"{}\", {per_item}\"iters_per_sample\": {}, \"samples\": {}, \
                  \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"min_ns\": {:.1}, \
                  \"max_ns\": {:.1}, \"std_dev_ns\": {:.1}}}{comma}\n",
                 r.name,
@@ -287,6 +303,28 @@ mod tests {
         assert!(json.contains("\n  \"threads\": "));
         assert!(json.contains("\"name\": \"noop\""));
         assert!(json.ends_with("]\n}\n"));
+    }
+
+    #[test]
+    fn rows_timed_per_item_name_their_unit() {
+        let mut h = Harness::new("items");
+        h.samples = 2;
+        h.bench("whole", || 1u64);
+        h.bench_per("each", 1_000, || 1u64);
+        h.bench_per("one", 1, || 1u64);
+        let json = h.to_json();
+        let row = |name: &str| {
+            json.lines()
+                .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+                .unwrap_or_default()
+                .to_string()
+        };
+        assert!(json.contains("\"unit\": \"ns_per_iter\""));
+        assert!(!row("whole").contains("\"unit\""), "{json}");
+        assert!(!row("whole").contains("items_per_iter"), "{json}");
+        assert!(row("each").contains("\"unit\": \"ns_per_item\", \"items_per_iter\": 1000,"));
+        assert!(row("one").contains("\"unit\": \"ns_per_item\", \"items_per_iter\": 1,"));
+        assert_eq!(h.results[1].items_per_iter, Some(1_000));
     }
 
     #[test]

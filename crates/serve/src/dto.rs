@@ -10,11 +10,12 @@
 //! append to the write-ahead log and replay forever after.
 
 use rrs_core::io::{
-    parse_day, parse_product_id, parse_rater_id, parse_value, push_json_number, push_json_uint,
-    scan_jsonl_fields, JsonToken,
+    parse_day, parse_product_id, parse_rater_id, parse_value, push_json_number, scan_jsonl_fields,
+    JsonToken,
 };
 use rrs_core::{ProductId, RaterId, Rating, RatingSource, RatingValue, Timestamp};
 use std::borrow::Cow;
+use std::fmt::Write;
 
 /// Room for one rating line as the serving path writes them (60-115
 /// bytes with the WAL's event tag), so rendering one allocates once; a
@@ -62,9 +63,13 @@ impl RatingSubmission {
         } else {
             "{\"rater\":"
         });
-        push_json_uint(buf, self.rater.value().into());
-        buf.push_str(",\"product\":");
-        push_json_uint(buf, self.product.value().into());
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            buf,
+            "{},\"product\":{}",
+            self.rater.value(),
+            self.product.value()
+        );
         buf.push_str(",\"day\":");
         push_json_number(buf, self.day.as_days());
         buf.push_str(",\"value\":");
