@@ -54,9 +54,6 @@ fn main() {
     h.bench("obs_counter_disabled", || {
         rrs_obs::metrics::counter_add("bench.noop", 1);
     });
-    h.bench("obs_event_disabled", || {
-        rrs_obs::trace::event("bench.noop", || String::from("never built"));
-    });
 
     h.finish();
 }

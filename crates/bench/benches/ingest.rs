@@ -1,6 +1,7 @@
-//! Ingest-at-scale benchmark: bulk ingest and full-scan throughput over
-//! millions of synthetic ratings, plus per-rating append-latency
-//! quantiles from the serial `insert` path.
+//! Ingest-at-scale benchmark: whole-corpus ingest and full-scan
+//! throughput over millions of synthetic ratings, plus per-rating
+//! append-latency quantiles. Every rating goes through
+//! `RatingDataset::insert`, the store's only write path.
 //!
 //! Unlike the other suites this one emits a purpose-built
 //! `BENCH_ingest.json`: the quantities of interest are **rates**
@@ -24,14 +25,13 @@ use std::time::Instant;
 /// Default corpus size: ISSUE 9's 10M-rating scale target.
 const DEFAULT_RATINGS: usize = 10_000_000;
 
-/// Products the corpus spreads over — enough to populate many shards
-/// (shards group 4 consecutive product ids) without starving any
-/// timeline.
+/// Products the corpus spreads over: at the default scale each
+/// timeline holds ~19.5k ratings, so its `f64` value column is ~156 KB.
 const PRODUCTS: u16 = 512;
 
-/// How many ratings go through the serial `insert` path to measure
-/// per-append latency. Bounded separately so the latency section stays
-/// cheap even at the 10M corpus scale.
+/// How many ratings are individually timed to measure per-append
+/// latency. Bounded separately so the latency section stays cheap even
+/// at the 10M corpus scale.
 const APPEND_SAMPLE: usize = 1_000_000;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -65,13 +65,14 @@ fn synthesize(count: usize, seed: u64) -> Vec<Rating> {
     out
 }
 
-/// One timed bulk ingest of the whole corpus into a fresh dataset;
-/// returns the dataset and the elapsed nanoseconds.
+/// One timed ingest of the whole corpus into a fresh dataset, one
+/// `insert` per rating; returns the dataset and the elapsed nanoseconds.
 fn timed_bulk_ingest(ratings: &[Rating]) -> (RatingDataset, u128) {
-    let batch: Vec<Rating> = ratings.to_vec();
     let mut dataset = RatingDataset::new();
     let start = Instant::now();
-    dataset.extend_from(batch, RatingSource::Fair);
+    for &rating in ratings {
+        dataset.insert(rating, RatingSource::Fair);
+    }
     let elapsed = start.elapsed().as_nanos();
     assert_eq!(dataset.len(), ratings.len());
     (dataset, elapsed)
@@ -91,8 +92,8 @@ fn timed_full_scan(dataset: &RatingDataset) -> (f64, u128) {
     (acc, elapsed)
 }
 
-/// Serial appends through `RatingDataset::insert`, each individually
-/// timed into the quantile sketch.
+/// Appends through `RatingDataset::insert`, each individually timed
+/// into the quantile sketch.
 fn append_latency(ratings: &[Rating]) -> QuantileSketch {
     let mut sketch = QuantileSketch::new();
     let mut dataset = RatingDataset::new();

@@ -13,7 +13,6 @@ use rrs_core::{AggregationScheme, RatingValue, Timestamp};
 use rrs_detectors::{
     arc, hc, mc, me, ArcConfig, ArcVariant, HcConfig, JointDetector, McConfig, MeConfig,
 };
-use rrs_signal::special::reg_inc_beta_inv;
 use rrs_signal::{cluster, fit_ar, glrt};
 
 fn detectors(h: &mut Harness) {
@@ -106,7 +105,6 @@ fn math_kernels(h: &mut Harness) {
     let y1: Vec<u32> = (0..15).map(|i| 3 + (i % 3)).collect();
     let y2: Vec<u32> = (0..15).map(|i| 8 + (i % 4)).collect();
     h.bench("kernel_poisson_glrt", || glrt::arrival_rate_glrt(&y1, &y2));
-    h.bench("kernel_beta_inverse", || reg_inc_beta_inv(3.5, 2.5, 0.15));
 }
 
 fn substrate_extras(h: &mut Harness) {

@@ -1,6 +1,6 @@
 //! The telemetry-pipeline suite: primitive costs of every obs facility
 //! in both switch states — spans (flat and nested), quantile-sketch
-//! observation and merge, flight-recorder feeds, and snapshot
+//! observation and quantiles, flight-recorder feeds, and snapshot
 //! rendering (JSON and Prometheus).
 //!
 //! Emits `BENCH_obs.json`. The `*_disabled` entries are the numbers the
@@ -48,20 +48,16 @@ fn main() {
     for i in 0..10_000u32 {
         filled.observe(f64::from(i) * 0.37 - 1_000.0);
     }
-    let other = filled.clone();
-    h.bench("sketch_merge_10k", || {
-        let mut s = filled.clone();
-        s.merge(&other);
-        s.count()
-    });
     h.bench("sketch_quantile_p99", || filled.quantile(0.99));
 
-    // Snapshot rendering: a registry with one of everything.
+    // Snapshot rendering: a registry with one of everything, its sketch
+    // holding the same 10k observations as `filled`.
     rrs_obs::reset();
     rrs_obs::metrics::counter_add("bench.calls", 7);
     rrs_obs::metrics::gauge_set("bench.level", 0.25);
-    rrs_obs::metrics::observe("bench.latency", 2.0, &[1.0, 4.0]);
-    rrs_obs::metrics::merge_quantile("bench.sizes", &filled);
+    for i in 0..10_000u32 {
+        rrs_obs::metrics::observe_quantile("bench.sizes", f64::from(i) * 0.37 - 1_000.0);
+    }
     let snap = rrs_obs::metrics::snapshot();
     h.bench("snapshot_to_json", || snap.to_json().len());
     h.bench("snapshot_to_prometheus", || snap.to_prometheus().len());

@@ -185,7 +185,9 @@ impl RatingChallenge {
     #[must_use]
     pub fn attacked_dataset(&self, sequence: &AttackSequence) -> RatingDataset {
         let mut attacked = self.fair.clone();
-        attacked.extend_from(sequence.ratings.iter().copied(), RatingSource::Unfair);
+        for &rating in &sequence.ratings {
+            attacked.insert(rating, RatingSource::Unfair);
+        }
         attacked
     }
 

@@ -358,7 +358,9 @@ fn attack(args: &Args) -> Result<String, CommandError> {
     let sequence = strategy.build(&ctx, &mut rng);
 
     let mut attacked = dataset;
-    attacked.extend_from(sequence.ratings.iter().copied(), RatingSource::Unfair);
+    for &rating in &sequence.ratings {
+        attacked.insert(rating, RatingSource::Unfair);
+    }
     fs::write(out, to_csv_string(&attacked)).map_err(|e| format!("cannot write {out}: {e}"))?;
     Ok(format!(
         "injected {} unfair ratings ({}) into {} -> {out}",
@@ -502,7 +504,7 @@ fn lint(args: &Args) -> Result<String, CommandError> {
 ///
 /// The server collects metrics only ([`rrs_serve::COLLECTION`]), whatever
 /// `RRS_TRACE` says: `GET /metrics` reports live counters, while the
-/// span and event sinks, which nothing in a server drains, stay empty.
+/// span sink, which nothing in a server drains, stays empty.
 /// With `--addr 127.0.0.1:0` the OS picks a free port and `--addr-file`
 /// advertises the bound address for scripts to discover.
 fn serve(args: &Args) -> Result<String, CommandError> {

@@ -1,7 +1,8 @@
-use crate::store::ColumnarStore;
+use crate::store::ColumnTimeline;
 use crate::{
     CoreError, ProductId, RaterId, Rating, RatingSource, RatingValue, TimeWindow, Timestamp,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A dataset-unique identifier for an inserted rating.
@@ -332,8 +333,9 @@ impl<'a, 'b> PartialEq<TimelineView<'b>> for TimelineView<'a> {
 /// modified copy with unfair ratings inserted, and the MP metric compares
 /// aggregation results on the two.
 ///
-/// Ratings live in a sharded struct-of-arrays store, one set of columns
-/// per product, and all reads go through borrowed [`TimelineView`]s.
+/// Ratings live in one struct-of-arrays timeline per product, kept in
+/// ascending product order, and all reads go through borrowed
+/// [`TimelineView`]s.
 ///
 /// # Example
 ///
@@ -364,7 +366,8 @@ impl<'a, 'b> PartialEq<TimelineView<'b>> for TimelineView<'a> {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RatingDataset {
-    store: ColumnarStore,
+    timelines: BTreeMap<ProductId, ColumnTimeline>,
+    len: usize,
     next_id: u64,
 }
 
@@ -380,63 +383,47 @@ impl RatingDataset {
     pub fn insert(&mut self, rating: Rating, source: RatingSource) -> RatingId {
         let id = RatingId(self.next_id);
         self.next_id += 1;
-        self.store.insert_entry(RatingEntry { id, rating, source });
+        self.insert_entry(RatingEntry { id, rating, source });
         id
     }
 
-    /// Inserts every rating from an iterator, all with the same provenance.
-    ///
-    /// Identifiers are assigned in iterator order exactly as repeated
-    /// [`insert`](Self::insert) calls would, but the store ingests the
-    /// batch in bulk: it buckets it per shard and runs the shards through
-    /// [`crate::par::par_map_owned`].
-    pub fn extend_from<I>(&mut self, ratings: I, source: RatingSource)
-    where
-        I: IntoIterator<Item = Rating>,
-    {
-        let entries: Vec<RatingEntry> = ratings
-            .into_iter()
-            .map(|rating| {
-                let id = RatingId(self.next_id);
-                self.next_id += 1;
-                RatingEntry { id, rating, source }
-            })
-            .collect();
-        self.store.bulk_insert(entries);
+    /// Files `entry` under its rating's product, keeping its identifier.
+    fn insert_entry(&mut self, entry: RatingEntry) {
+        self.timelines
+            .entry(entry.rating().product())
+            .or_default()
+            .insert(entry);
+        self.len += 1;
     }
 
     /// Returns the timeline view for `product`, if any rating exists for
     /// it.
     #[must_use]
     pub fn product(&self, product: ProductId) -> Option<TimelineView<'_>> {
-        self.store.timeline(product)
+        self.timelines.get(&product).map(|tl| tl.view(product))
     }
 
     /// Iterates over `(product, timeline)` pairs in product order.
     pub fn products(&self) -> impl Iterator<Item = (ProductId, TimelineView<'_>)> {
-        self.store.timelines().into_iter()
+        self.timelines.iter().map(|(&pid, tl)| (pid, tl.view(pid)))
     }
 
     /// Returns the product identifiers present in the dataset.
     #[must_use]
     pub fn product_ids(&self) -> Vec<ProductId> {
-        self.store
-            .timelines()
-            .into_iter()
-            .map(|(pid, _)| pid)
-            .collect()
+        self.timelines.keys().copied().collect()
     }
 
     /// Returns the total number of ratings across all products.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.len
     }
 
     /// Returns `true` if the dataset holds no ratings.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
+        self.len == 0
     }
 
     /// Returns the earliest and latest rating time across all products.
@@ -446,7 +433,7 @@ impl RatingDataset {
     /// Returns [`CoreError::Empty`] if the dataset holds no ratings.
     pub fn time_span(&self) -> Result<(Timestamp, Timestamp), CoreError> {
         let mut span: Option<(Timestamp, Timestamp)> = None;
-        for (_, tl) in self.store.timelines() {
+        for (_, tl) in self.products() {
             if let (Some(first), Some(last)) = (tl.first(), tl.last()) {
                 span = Some(match span {
                     None => (first.time(), last.time()),
@@ -462,7 +449,7 @@ impl RatingDataset {
     #[must_use]
     pub fn unfair_ids(&self) -> Vec<RatingId> {
         let mut out = Vec::new();
-        for (_, tl) in self.store.timelines() {
+        for (_, tl) in self.products() {
             for i in 0..tl.len() {
                 if tl.source_at(i).is_unfair() {
                     out.push(tl.id_at(i));
@@ -476,7 +463,7 @@ impl RatingDataset {
     #[must_use]
     pub fn raters(&self) -> Vec<RaterId> {
         let mut set = std::collections::BTreeSet::new();
-        for (_, tl) in self.store.timelines() {
+        for (_, tl) in self.products() {
             for i in 0..tl.len() {
                 set.insert(tl.rater_at(i));
             }
@@ -484,39 +471,10 @@ impl RatingDataset {
         set.into_iter().collect()
     }
 
-    /// Returns a copy of this dataset containing only the entries
-    /// accepted by `keep`, with identifiers preserved.
-    fn filtered_copy<F>(&self, mut keep: F) -> RatingDataset
-    where
-        F: FnMut(&RatingEntry) -> bool,
-    {
-        let mut kept = Vec::new();
-        for (_, tl) in self.store.timelines() {
-            kept.extend(tl.iter().filter(|e| keep(e)));
-        }
-        let mut out = RatingDataset {
-            store: ColumnarStore::default(),
-            next_id: self.next_id,
-        };
-        out.store.bulk_insert(kept);
-        out
-    }
-
-    /// Returns a copy of this dataset containing only fair ratings.
-    ///
-    /// Identifiers of the retained ratings are preserved.
-    #[must_use]
-    pub fn fair_only(&self) -> RatingDataset {
-        self.filtered_copy(|e| !e.source().is_unfair())
-    }
-
     /// Iterates over every entry in the dataset, grouped by product and in
     /// time order within each product.
     pub fn iter(&self) -> impl Iterator<Item = RatingEntry> + '_ {
-        self.store
-            .timelines()
-            .into_iter()
-            .flat_map(|(_, tl)| tl.iter())
+        self.products().flat_map(|(_, tl)| tl.iter())
     }
 
     /// Returns a copy containing only the ratings whose times fall in
@@ -528,7 +486,14 @@ impl RatingDataset {
     /// dataset.
     #[must_use]
     pub fn restricted(&self, window: TimeWindow) -> RatingDataset {
-        self.filtered_copy(|e| window.contains(e.time()))
+        let mut out = RatingDataset {
+            next_id: self.next_id,
+            ..RatingDataset::default()
+        };
+        for entry in self.iter().filter(|e| window.contains(e.time())) {
+            out.insert_entry(entry);
+        }
+        out
     }
 
     /// Returns a borrowed view of the whole dataset.
@@ -539,7 +504,7 @@ impl RatingDataset {
     #[must_use]
     pub fn view(&self) -> DatasetView<'_> {
         DatasetView {
-            products: self.store.timelines(),
+            products: self.products().collect(),
         }
     }
 
@@ -557,7 +522,7 @@ impl RatingDataset {
     #[must_use]
     pub fn prefix_view(&self, window: TimeWindow) -> DatasetView<'_> {
         let mut products = Vec::new();
-        for (pid, tl) in self.store.timelines() {
+        for (pid, tl) in self.products() {
             let scoped = tl.in_window(window);
             if !scoped.is_empty() {
                 products.push((pid, scoped));
@@ -754,16 +719,6 @@ mod tests {
         assert_ne!(fair_id, unfair_id);
         assert_eq!(attacked.unfair_ids(), vec![unfair_id]);
         assert!(clean.unfair_ids().is_empty());
-    }
-
-    #[test]
-    fn fair_only_strips_unfair_and_keeps_ids() {
-        let mut d = RatingDataset::new();
-        let fair_id = d.insert(rating(1, 0, 0.0, 4.0), RatingSource::Fair);
-        d.insert(rating(2, 0, 1.0, 0.0), RatingSource::Unfair);
-        let clean = d.fair_only();
-        assert_eq!(clean.len(), 1);
-        assert_eq!(clean.iter().next().unwrap().id(), fair_id);
     }
 
     #[test]
@@ -997,28 +952,6 @@ mod tests {
                     prop_assert_eq!(view.product(*pid).map(TimelineView::len), Some(tl.len()));
                 }
             }
-        }
-
-        // Bulk ingest must agree with one-at-a-time inserts at any thread
-        // count.
-        #[test]
-        fn extend_from_matches_repeated_insert(
-            days in vec_of(0.0f64..90.0, 0..60)
-        ) {
-            let ratings: Vec<Rating> = days
-                .iter()
-                .enumerate()
-                .map(|(i, day)| rating(i as u32, (i % 6) as u16, *day, 2.0))
-                .collect();
-            let mut serial = RatingDataset::new();
-            for r in &ratings {
-                serial.insert(*r, RatingSource::Fair);
-            }
-            let mut bulk = RatingDataset::new();
-            crate::par::with_threads(8, || {
-                bulk.extend_from(ratings.iter().copied(), RatingSource::Fair);
-            });
-            prop_assert_eq!(&serial, &bulk);
         }
     }
 }

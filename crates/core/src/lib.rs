@@ -8,8 +8,9 @@
 //!   [`TimeWindow`]),
 //! * individual ratings and their fair/unfair provenance ([`Rating`],
 //!   [`RatingSource`]),
-//! * the [`RatingDataset`] container holding per-product timelines in a
-//!   sharded struct-of-arrays store, read through borrowed
+//! * the [`RatingDataset`] container holding one struct-of-arrays
+//!   timeline per product, written only through
+//!   [`RatingDataset::insert`] and read through borrowed
 //!   [`TimelineView`]s,
 //! * the manipulation-power (MP) metric of Feng et al. (ICDCS 2008)
 //!   ([`metrics`]),

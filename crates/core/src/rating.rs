@@ -64,23 +64,6 @@ impl Rating {
     pub const fn value(&self) -> RatingValue {
         self.value
     }
-
-    /// Returns a copy of this rating with a different value.
-    ///
-    /// Used by the correlation mapper (Procedure 3 of the paper), which
-    /// permutes the *values* of a fixed set of rating *times*.
-    #[must_use]
-    pub fn with_value(mut self, value: RatingValue) -> Self {
-        self.value = value;
-        self
-    }
-
-    /// Returns a copy of this rating with a different time.
-    #[must_use]
-    pub fn with_time(mut self, time: Timestamp) -> Self {
-        self.time = time;
-        self
-    }
 }
 
 impl fmt::Display for Rating {
@@ -143,21 +126,6 @@ mod tests {
         assert_eq!(r.rater(), RaterId::new(1));
         assert_eq!(r.product(), ProductId::new(2));
         assert_eq!(r.time().as_days(), 3.0);
-        assert_eq!(r.value().get(), 4.0);
-    }
-
-    #[test]
-    fn with_value_replaces_only_value() {
-        let r = sample().with_value(RatingValue::new(1.0).unwrap());
-        assert_eq!(r.value().get(), 1.0);
-        assert_eq!(r.rater(), RaterId::new(1));
-        assert_eq!(r.time().as_days(), 3.0);
-    }
-
-    #[test]
-    fn with_time_replaces_only_time() {
-        let r = sample().with_time(Timestamp::new(9.0).unwrap());
-        assert_eq!(r.time().as_days(), 9.0);
         assert_eq!(r.value().get(), 4.0);
     }
 

@@ -64,18 +64,6 @@ impl Timestamp {
     pub const fn as_days(self) -> f64 {
         self.0
     }
-
-    /// Returns the whole-day index this timestamp falls in (floor).
-    ///
-    /// Timestamps before the origin all map to day 0.
-    #[must_use]
-    pub fn day_index(self) -> usize {
-        if self.0 <= 0.0 {
-            0
-        } else {
-            self.0.floor() as usize
-        }
-    }
 }
 
 impl fmt::Display for Timestamp {
@@ -336,14 +324,6 @@ mod tests {
     fn timestamp_rejects_non_finite() {
         assert!(Timestamp::new(f64::NAN).is_err());
         assert!(Timestamp::new(f64::NEG_INFINITY).is_err());
-    }
-
-    #[test]
-    fn day_index_floors() {
-        assert_eq!(ts(0.0).day_index(), 0);
-        assert_eq!(ts(0.99).day_index(), 0);
-        assert_eq!(ts(1.0).day_index(), 1);
-        assert_eq!(ts(-3.0).day_index(), 0);
     }
 
     #[test]

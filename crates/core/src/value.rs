@@ -67,12 +67,6 @@ impl RatingValue {
     pub fn normalized(self) -> f64 {
         (self.0 - Self::SCALE_MIN) / (Self::SCALE_MAX - Self::SCALE_MIN)
     }
-
-    /// Rounds to the nearest integer star rating (0, 1, ..., 5).
-    #[must_use]
-    pub fn to_stars(self) -> u8 {
-        self.0.round() as u8
-    }
 }
 
 impl fmt::Display for RatingValue {
@@ -141,12 +135,6 @@ mod tests {
         assert_eq!(RatingValue::new(0.0).unwrap().normalized(), 0.0);
         assert_eq!(RatingValue::new(5.0).unwrap().normalized(), 1.0);
         assert_eq!(RatingValue::new(2.5).unwrap().normalized(), 0.5);
-    }
-
-    #[test]
-    fn stars_round() {
-        assert_eq!(RatingValue::new(3.4).unwrap().to_stars(), 3);
-        assert_eq!(RatingValue::new(3.5).unwrap().to_stars(), 4);
     }
 
     #[test]

@@ -33,6 +33,12 @@ macro_rules! widget_four {
     };
 }
 
+mod hidden;
+pub mod parts;
+
+pub use hidden::Gadget;
+pub use parts::only_reexported;
+
 #[cfg(test)]
 mod tests {
     #[test]

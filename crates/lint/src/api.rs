@@ -127,7 +127,7 @@ pub fn file_module(rel: &str) -> Vec<String> {
 
 /// Renders one item as its lock entry, or `None` for kinds that are
 /// not surface units themselves (`impl` blocks, `extern crate`).
-fn entry_text(fm: &[String], item: &Item) -> Option<String> {
+pub(crate) fn entry_text(fm: &[String], item: &Item) -> Option<String> {
     let kind = match item.kind {
         ItemKind::Fn => "fn",
         ItemKind::Struct => "struct",

@@ -1,11 +1,17 @@
 //! The dead-public-item pass.
 //!
 //! A `pub` item that nothing calls still costs its readers, its tests
-//! and an `api.lock` entry, and it invites the next caller to build on
-//! code no path runs. The pass flags every [`crate::api::surface`] item
-//! whose name appears, as an identifier in code, nowhere but on its own
+//! and often an `api.lock` entry, and it invites the next caller to
+//! build on code no path runs. The pass flags every public item whose
+//! name appears, as an identifier in code, nowhere but on its own
 //! declaration line and in its own file's `#[cfg(test)]` code
-//! ([`crate::rules::RULE_DEAD_PUB`]).
+//! ([`crate::rules::RULE_DEAD_PUB`]). Public items are the
+//! [`crate::api::surface`] plus what api.lock cannot see: the `pub`
+//! items of a private module that the crate re-exports, and the `pub`
+//! associated items of the types it re-exports that way (the methods of
+//! `rrs_core::RatingDataset`, declared in the private `dataset`
+//! module). rustc's own dead-code lint covers the remaining `pub` items
+//! of private modules.
 //!
 //! The check is by name over the scrubbed text the scan already holds,
 //! so comments and doc prose never count as uses, while every walked
@@ -15,19 +21,25 @@
 //! under `servebench/src`, a package outside the workspace, are read as
 //! callers but never linted. Any identifier sharing the name counts as
 //! a use, so the pass can miss a dead item but never flags one that
-//! code names. Re-exports (`pub use`) name items declared elsewhere and
-//! are skipped. An item that should stay takes
+//! code names — with one exception: a `pub use` re-exports names
+//! rather than using them, so the names it imports do not count, while
+//! the module segments of its path do (`pub use p_scheme::PScheme`
+//! keeps `pub mod p_scheme` alive, not `PScheme`). Re-exports are not
+//! candidates themselves. An item that should stay takes
 //! `// lint:allow(dead-pub): reason` on the line above its declaring
 //! keyword.
 
-use crate::api::SurfaceItem;
-use crate::lexer::{idents, Scrubbed};
+use crate::api::{entry_text, file_module, SurfaceItem};
+use crate::items::{ItemKind, Vis};
+use crate::lexer::{idents, is_ident_char, Scrubbed};
 use crate::report::Finding;
 use crate::rules::{emit_waivable, RULE_DEAD_PUB};
+use crate::walk::FileClass;
 use crate::FileModel;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-/// Flags the surface items nothing names, appending findings at their
+/// Flags the public items nothing names (the `surface` plus the items
+/// re-exported from private modules), appending findings at their
 /// declaration lines. `callers` are scrubbed sources that count as uses
 /// but are not part of `models`.
 pub fn run(
@@ -36,7 +48,9 @@ pub fn run(
     callers: &[Scrubbed],
     findings: &mut Vec<Finding>,
 ) {
-    let dead = dead_items(models, surface, callers);
+    let mut candidates = surface.to_vec();
+    candidates.extend(reexported_from_private_modules(models, surface));
+    let dead = dead_items(models, &candidates, callers);
     for (idx, item) in dead {
         let model = &mut models[idx];
         emit_waivable(
@@ -55,15 +69,18 @@ pub fn run(
     }
 }
 
-/// The dead surface items, each with the index of its declaring model.
+/// The dead candidates, each with the index of its declaring model.
 fn dead_items<'s>(
     models: &[FileModel],
-    surface: &'s [SurfaceItem],
+    candidates: &'s [SurfaceItem],
     callers: &[Scrubbed],
 ) -> Vec<(usize, &'s SurfaceItem)> {
     // A hash set: nearly every token of the tree is looked up here.
-    let names: HashSet<&str> = surface.iter().filter_map(|s| item_name(&s.entry)).collect();
-    // Occurrences of each surface name in all code, and per model in its
+    let names: HashSet<&str> = candidates
+        .iter()
+        .filter_map(|s| item_name(&s.entry))
+        .collect();
+    // Occurrences of each candidate name in all code, and per model in its
     // own test code.
     let mut code: BTreeMap<&str, usize> = BTreeMap::new();
     let mut own_tests: BTreeMap<(usize, &str), usize> = BTreeMap::new();
@@ -80,9 +97,24 @@ fn dead_items<'s>(
             }
         }
     }
+    // Take back what the `pub use` lines counted for the names they
+    // import: a re-export is not a use.
+    let reexports = models
+        .iter()
+        .flat_map(|m| &m.items)
+        .filter(|item| item.vis == Vis::Pub && !item.in_test);
+    for item in reexports {
+        if let ItemKind::Use { path } = &item.kind {
+            for name in imported_names(path) {
+                if let Some(count) = code.get_mut(name) {
+                    *count = count.saturating_sub(1);
+                }
+            }
+        }
+    }
     let mut dead = Vec::new();
     for (idx, model) in models.iter().enumerate() {
-        for item in surface.iter().filter(|s| s.file == model.file.rel) {
+        for item in candidates.iter().filter(|s| s.file == model.file.rel) {
             let Some(name) = item_name(&item.entry) else {
                 continue;
             };
@@ -96,6 +128,68 @@ fn dead_items<'s>(
         }
     }
     dead
+}
+
+/// The `pub` items of private file modules that the crate re-exports by
+/// name, and the `pub` associated items of the types it re-exports that
+/// way. These are public API that api.lock, which follows `pub mod`
+/// chains only, cannot see.
+fn reexported_from_private_modules(
+    models: &[FileModel],
+    surface: &[SurfaceItem],
+) -> Vec<SurfaceItem> {
+    let mut reexported: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for item in surface {
+        if let Some(path) = item.entry.strip_prefix("use ") {
+            for name in imported_names(path) {
+                reexported.insert((&item.crate_name, name));
+            }
+        }
+    }
+    let on_surface: BTreeSet<(&str, usize)> =
+        surface.iter().map(|s| (s.file.as_str(), s.line)).collect();
+    let mut out = Vec::new();
+    for model in models.iter().filter(|m| m.file.class == FileClass::Lib) {
+        let crate_name = model.file.crate_name.as_str();
+        let fm = file_module(&model.file.rel);
+        for item in &model.items {
+            let named = |name: &str| reexported.contains(&(crate_name, name));
+            if !item.is_surface()
+                || matches!(item.kind, ItemKind::Use { .. })
+                || on_surface.contains(&(model.file.rel.as_str(), item.line))
+                || !(named(&item.name) || item.owner.as_deref().is_some_and(named))
+            {
+                continue;
+            }
+            if let Some(entry) = entry_text(&fm, item) {
+                out.push(SurfaceItem {
+                    crate_name: crate_name.to_string(),
+                    entry,
+                    file: model.file.rel.clone(),
+                    line: item.line,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The names a squeezed `use` path imports: every identifier not
+/// followed by `::` (`a::{b::C,D as E}` → `C`, `D`, `as`, `E`; the
+/// keyword never matches an item name).
+fn imported_names(path: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = path;
+    while let Some(start) = rest.find(is_ident_char) {
+        let tail = &rest[start..];
+        let end = tail.find(|c| !is_ident_char(c)).unwrap_or(tail.len());
+        let (name, after) = tail.split_at(end);
+        if !after.starts_with("::") {
+            out.push(name);
+        }
+        rest = after;
+    }
+    out
 }
 
 /// The declared name of a lock entry (`fn S::make` → `make`), or `None`

@@ -594,13 +594,7 @@ fn eq_operator_beside(b: &[char], start: usize, end: usize) -> Option<&'static s
 }
 
 /// The metric-registry entry points whose first argument is a name.
-const METRIC_CALLS: &[&str] = &[
-    "counter_add",
-    "gauge_set",
-    "observe",
-    "observe_quantile",
-    "merge_quantile",
-];
+const REGISTRY_CALLS: &[&str] = &["counter_add", "gauge_set", "observe_quantile"];
 
 /// Detects a metric-emitting call whose name argument is an inline
 /// string literal (`counter_add("x.y", 1)`), returning the call token.
@@ -611,7 +605,7 @@ const METRIC_CALLS: &[&str] = &[
 fn inline_metric_call(scrubbed: &str, raw: &str) -> Option<&'static str> {
     let s: Vec<char> = scrubbed.chars().collect();
     let r: Vec<char> = raw.chars().collect();
-    for &tok in METRIC_CALLS {
+    for &tok in REGISTRY_CALLS {
         let tlen = tok.len();
         let mut i = 0;
         while i + tlen <= s.len() {
@@ -871,8 +865,7 @@ mod tests {
         // A constant reference is the required form.
         let s = scan("rrs_obs::metrics::counter_add(METRIC_HITS, 1);");
         assert!(s.findings.is_empty(), "{:?}", s.findings);
-        // Non-string first arguments (sketch observe, histogram types)
-        // are not metric registrations.
+        // A sketch's own `observe` is not a registry call.
         let s = scan("sketch.observe(1.5); t.observe(x, y);");
         assert!(s.findings.is_empty(), "{:?}", s.findings);
     }

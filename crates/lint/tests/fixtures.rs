@@ -195,16 +195,34 @@ fn api_drift_fixture_reports_both_directions() {
 #[test]
 fn dead_pub_fixture_reports_the_uncalled_item_and_the_stale_waiver() {
     // widget's items are called from the crate's tests/, from a macro
-    // body and from servebench/src, and one is waived. Only `orphan`,
-    // named by its doc comment and its own test module, is dead; the
-    // waiver above the called `from_tests` is stale.
+    // body and from servebench/src, and one is waived. Dead are
+    // `orphan`, named by its doc comment and its own test module;
+    // `Gadget::spin`, a method of a type re-exported from the private
+    // module `hidden`; and `only_reexported`, named only by the `pub use`
+    // that re-exports it (whose `parts::` segment keeps `pub mod parts`
+    // alive). The waiver above the called `from_tests` is stale.
     let report = rrs_lint::scan_root(&fixture("dead_pub")).unwrap();
-    let got: Vec<_> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+    let got: Vec<_> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.rule, f.line))
+        .collect();
     assert_eq!(
         got,
-        vec![(rules::RULE_DEAD_PUB, 4), (rules::RULE_UNUSED_ALLOW, 8)]
+        vec![
+            ("crates/widget/src/hidden.rs", rules::RULE_DEAD_PUB, 14),
+            ("crates/widget/src/lib.rs", rules::RULE_DEAD_PUB, 4),
+            ("crates/widget/src/lib.rs", rules::RULE_UNUSED_ALLOW, 8),
+            ("crates/widget/src/parts.rs", rules::RULE_DEAD_PUB, 4),
+        ]
     );
-    assert!(report.findings[0].message.contains("`fn orphan`"));
+    assert!(report.findings[0]
+        .message
+        .contains("`fn hidden::Gadget::spin`"));
+    assert!(report.findings[1].message.contains("`fn orphan`"));
+    assert!(report.findings[3]
+        .message
+        .contains("`fn parts::only_reexported`"));
 }
 
 #[test]

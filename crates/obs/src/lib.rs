@@ -4,17 +4,18 @@
 //! traces for the P-scheme pipeline (signal → detectors → joint decision
 //! → trust → aggregation). Four cooperating facilities:
 //!
-//! * [`trace`] — a span/event tracer with monotonic timing, a
-//!   thread-safe in-memory sink, and parent/child structure from a
-//!   thread-local span stack. Span names are dotted `stage.detail`
+//! * [`trace`] — a span tracer with monotonic timing, a thread-safe
+//!   in-memory sink, and parent/child structure from a thread-local
+//!   span stack. Span names are dotted `stage.detail`
 //!   strings (`"signal.mc"`, `"detect.integrate"`,
 //!   `"trust.update_epoch"`, `"aggregate.filter"`); the stage prefix is
 //!   what per-stage breakdowns group by, and
 //!   [`trace::collapsed_stacks`] renders a batch as flamegraph input.
-//! * [`metrics`] — a registry of counters, gauges, fixed-bucket
-//!   histograms, and mergeable [`sketch::QuantileSketch`]es, with a
-//!   [`metrics::snapshot`] API that renders as JSON or Prometheus text
-//!   exposition.
+//! * [`metrics`] — a registry of counters, gauges and
+//!   [`sketch::QuantileSketch`]es, written only through
+//!   [`metrics::counter_add`], [`metrics::gauge_set`] and
+//!   [`metrics::observe_quantile`], with a [`metrics::snapshot`] API
+//!   that renders as JSON or Prometheus text exposition.
 //! * [`decision`] — structured decision-trace records: per (product,
 //!   interval), every detector's raw statistic, threshold and verdict,
 //!   the two-path joint-decision outcome, the suspicion set, and each
@@ -30,17 +31,17 @@
 //!
 //! One global [`Collection`] level gates every sink. At
 //! [`Collection::Metrics`] only the [`metrics`] registry records; at
-//! [`Collection::Full`] the tracer's spans and events, the decision
-//! buffer and the flight recorder record as well. [`enable`] and
+//! [`Collection::Full`] the tracer's spans, the decision buffer and the
+//! flight recorder record as well. [`enable`] and
 //! [`disable`] switch between `Full` and `Off`, [`set_collection`]
 //! picks any level, and [`init_from_env`] turns `Full` on from the
 //! `RRS_TRACE` environment variable. [`enabled`] answers "are metrics
-//! on", [`tracing`] "are spans, events and decision records on".
+//! on", [`tracing`] "are spans and decision records on".
 //!
 //! Every command enables `Full` under `RRS_TRACE=1` except `rrs serve`,
 //! which runs at `Metrics` whatever the environment says: a live server
 //! reports through `GET /metrics`, and nothing in it ever drains the
-//! span and event sinks, so they would grow with every epoch.
+//! span sink, so it would grow with every epoch.
 //!
 //! When a sink is off, every instrumentation call into it is a single
 //! relaxed atomic load — no clock reads, no locks, no allocation — so
@@ -98,10 +99,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Collection {
     /// Nothing records.
     Off,
-    /// Only the metrics registry records: counters, gauges, histograms
-    /// and sketches. Spans, events, decision records and the flight
-    /// recorder stay empty, so memory stays bounded however long the
-    /// process runs.
+    /// Only the metrics registry records: counters, gauges and
+    /// sketches. Spans, decision records and the flight recorder stay
+    /// empty, so memory stays bounded however long the process runs.
     Metrics,
     /// Every sink records.
     Full,
@@ -125,8 +125,8 @@ pub fn enabled() -> bool {
     level() >= Collection::Metrics as u8
 }
 
-/// Returns `true` when spans, events, decision records and the flight
-/// recorder record (at [`Collection::Full`] only).
+/// Returns `true` when spans, decision records and the flight recorder
+/// record (at [`Collection::Full`] only).
 #[inline]
 #[must_use]
 pub fn tracing() -> bool {
@@ -161,13 +161,12 @@ pub fn init_from_env() {
     }
 }
 
-/// Clears every sink: spans, events, metrics, decision records, and the
-/// flight recorder.
+/// Clears every sink: spans, metrics, decision records, and the flight
+/// recorder.
 ///
 /// Call before a run whose trace you want in isolation.
 pub fn reset() {
     trace::drain_spans();
-    trace::drain_events();
     metrics::reset();
     decision::drain();
     recorder::reset();
@@ -190,22 +189,20 @@ mod tests {
     }
 
     #[test]
-    fn metrics_level_records_metrics_but_no_spans_or_events() {
+    fn metrics_level_records_metrics_but_no_spans() {
         let _guard = trace::tests_lock();
         reset();
         set_collection(Collection::Metrics);
         assert!(enabled() && !tracing());
         {
             let _span = trace::span("stage.metrics_only");
-            trace::event("stage.note", || panic!("must not be called"));
             metrics::counter_add("example.calls", 1);
         }
         let spans = trace::drain_spans();
-        let events = trace::drain_events();
         let snapshot = metrics::snapshot();
         reset();
         disable();
-        assert!(spans.is_empty() && events.is_empty());
+        assert!(spans.is_empty());
         assert_eq!(snapshot.counters.get("example.calls"), Some(&1));
     }
 }

@@ -1,14 +1,14 @@
-//! The metrics registry: counters, gauges, fixed-bucket histograms, and
-//! mergeable quantile sketches.
+//! The metrics registry: counters, gauges and quantile sketches.
 //!
-//! All writes go through free functions against one global registry and
-//! are no-ops while metrics collection is [off](crate::enabled).
-//! [`snapshot`] returns an owned, ordered copy of every metric —
-//! deterministic given deterministic inputs, since nothing here reads a
-//! clock. Counter adds and sketch observations commute (integer
-//! arithmetic only), so hot paths running under `par_map` in any
-//! interleaving still produce bit-identical snapshots; gauges and
-//! histograms must only be written from deterministic (serial) points.
+//! Every write goes through one of three free functions against one
+//! global registry — [`counter_add`], [`gauge_set`] and
+//! [`observe_quantile`] — and is a no-op while metrics collection is
+//! [off](crate::enabled). [`snapshot`] returns an owned, ordered copy of
+//! every metric — deterministic given deterministic inputs, since
+//! nothing here reads a clock. Counter adds and sketch observations
+//! commute (integer arithmetic only), so hot paths running under
+//! `par_map` in any interleaving still produce bit-identical snapshots;
+//! gauges must only be written from deterministic (serial) points.
 //!
 //! Snapshots render as JSON ([`MetricsSnapshot::to_json`]) for the
 //! experiment artifact tree and as Prometheus text exposition
@@ -20,17 +20,12 @@ use rrs_core::io::{json_number_or_null, json_string};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Self-metric: how many times [`observe`] was called with bucket
-/// bounds that conflicted with the histogram's registered bounds.
-pub const METRIC_BOUNDS_CONFLICTS: &str = "obs.histogram_bounds_conflicts";
-
 static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
 
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     sketches: BTreeMap<String, QuantileSketch>,
 }
 
@@ -60,52 +55,6 @@ fn update_series<V, T>(
     }
 }
 
-/// A fixed-bucket histogram: `counts[i]` holds observations at or below
-/// `bounds[i]`, with one extra overflow bucket at the end.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bucket bounds, ascending.
-    pub bounds: Vec<f64>,
-    /// Per-bucket observation counts (`bounds.len() + 1` entries).
-    pub counts: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Total number of observations.
-    pub count: u64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Mean of the observed values (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// Adds `by` to the named counter.
 #[inline]
 pub fn counter_add(name: &str, by: u64) {
@@ -128,53 +77,6 @@ pub fn gauge_set(name: &str, value: f64) {
     });
 }
 
-/// Records `value` into the named histogram, creating it with `bounds`
-/// on first use.
-///
-/// The first registration wins: if a later call offers different
-/// `bounds` for the same name, the value is still recorded against the
-/// registered buckets, the conflict is logged as a structured error,
-/// and [`METRIC_BOUNDS_CONFLICTS`] is incremented — silently mixing two
-/// bucket layouts under one name would corrupt the series.
-#[inline]
-pub fn observe(name: &str, value: f64, bounds: &[f64]) {
-    if !crate::enabled() {
-        return;
-    }
-    with_inner(|inner| {
-        let conflicting = update_series(
-            &mut inner.histograms,
-            name,
-            || Histogram::new(bounds),
-            |h| {
-                let conflicting = h.bounds.len() != bounds.len()
-                    || h.bounds
-                        .iter()
-                        .zip(bounds)
-                        .any(|(a, b)| a.to_bits() != b.to_bits());
-                if conflicting {
-                    crate::rrs_error!(
-                        "histogram bounds conflict: metric={name} registered={:?} offered={:?} \
-                     (first registration kept)",
-                        h.bounds,
-                        bounds
-                    );
-                }
-                h.observe(value);
-                conflicting
-            },
-        );
-        if conflicting {
-            update_series(
-                &mut inner.counters,
-                METRIC_BOUNDS_CONFLICTS,
-                || 0,
-                |count| *count += 1,
-            );
-        }
-    });
-}
-
 /// Records `value` into the named quantile sketch, creating it on first
 /// use. Safe to call from `par_map` workers: sketch state is integer
 /// bucket counts, so any observation interleaving yields the same
@@ -191,20 +93,6 @@ pub fn observe_quantile(name: &str, value: f64) {
     });
 }
 
-/// Merges `sketch` into the named registry sketch, creating it on first
-/// use. For workers that batch observations locally before folding them
-/// in; merge order does not affect the resulting state.
-pub fn merge_quantile(name: &str, sketch: &QuantileSketch) {
-    if !crate::enabled() {
-        return;
-    }
-    with_inner(|inner| {
-        update_series(&mut inner.sketches, name, QuantileSketch::default, |s| {
-            s.merge(sketch);
-        });
-    });
-}
-
 /// An owned, ordered copy of every metric at one point in time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
@@ -212,8 +100,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
     /// Quantile sketches by name.
     pub sketches: BTreeMap<String, QuantileSketch>,
 }
@@ -248,8 +134,8 @@ fn prom_number(x: f64) -> String {
 
 impl MetricsSnapshot {
     /// Renders the snapshot as a single JSON object. Non-finite values
-    /// (a gauge set to NaN, an inf observation in a histogram sum)
-    /// serialize as `null` so the output always parses.
+    /// (a gauge set to NaN or ±inf) serialize as `null` so the output
+    /// always parses.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -270,22 +156,6 @@ impl MetricsSnapshot {
                 json_number_or_null(*v)
             ));
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let bounds: Vec<String> = h.bounds.iter().map(|b| json_number_or_null(*b)).collect();
-            let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "{}:{{\"bounds\":[{}],\"counts\":[{}],\"sum\":{},\"count\":{}}}",
-                json_string(name),
-                bounds.join(","),
-                counts.join(","),
-                json_number_or_null(h.sum),
-                h.count,
-            ));
-        }
         out.push_str("},\"sketches\":{");
         for (i, (name, s)) in self.sketches.iter().enumerate() {
             if i > 0 {
@@ -298,11 +168,10 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// counters and gauges as single samples, histograms as cumulative
-    /// `_bucket{le=…}` series with `_sum`/`_count`, and quantile
-    /// sketches as summaries with `quantile` labels. Dotted names are
-    /// rewritten to the Prometheus alphabet (`.` → `_`); ordering is
-    /// fixed (counters, gauges, histograms, sketches, each sorted by
+    /// counters and gauges as single samples, and quantile sketches as
+    /// summaries with `quantile` labels and `_sum`/`_count`. Dotted
+    /// names are rewritten to the Prometheus alphabet (`.` → `_`);
+    /// ordering is fixed (counters, gauges, sketches, each sorted by
     /// name), so equal snapshots render byte-identically.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
@@ -314,21 +183,6 @@ impl MetricsSnapshot {
         for (name, v) in &self.gauges {
             let n = prom_name(name);
             out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", prom_number(*v)));
-        }
-        for (name, h) in &self.histograms {
-            let n = prom_name(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let mut cumulative = 0_u64;
-            for (bound, count) in h.bounds.iter().zip(&h.counts) {
-                cumulative += count;
-                out.push_str(&format!(
-                    "{n}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    prom_number(*bound)
-                ));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n", prom_number(h.sum)));
-            out.push_str(&format!("{n}_count {}\n", h.count));
         }
         for (name, s) in &self.sketches {
             let n = prom_name(name);
@@ -350,13 +204,12 @@ pub fn snapshot() -> MetricsSnapshot {
     with_inner(|inner| MetricsSnapshot {
         counters: inner.counters.clone(),
         gauges: inner.gauges.clone(),
-        histograms: inner.histograms.clone(),
         sketches: inner.sketches.clone(),
     })
     .unwrap_or_default()
 }
 
-/// Clears every counter, gauge, histogram, and sketch.
+/// Clears every counter, gauge, and sketch.
 pub fn reset() {
     with_inner(|inner| *inner = Inner::default());
 }
@@ -373,12 +226,10 @@ mod tests {
         reset();
         counter_add("c", 3);
         gauge_set("g", 1.5);
-        observe("h", 0.2, &[1.0]);
         observe_quantile("s", 4.0);
         let snap = snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
         assert!(snap.sketches.is_empty());
     }
 
@@ -398,55 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let _guard = tests_lock();
-        crate::enable();
-        reset();
-        let bounds = [1.0, 10.0];
-        observe("lat", 0.5, &bounds);
-        observe("lat", 5.0, &bounds);
-        observe("lat", 50.0, &bounds);
-        let snap = snapshot();
-        crate::disable();
-        let h = &snap.histograms["lat"];
-        assert_eq!(h.counts, vec![1, 1, 1]);
-        assert_eq!(h.count, 3);
-        assert!((h.mean() - 55.5 / 3.0).abs() < 1e-12);
-    }
-
-    /// Satellite regression: mismatched bounds on an existing histogram
-    /// must keep the first registration, record the value against it,
-    /// and surface the conflict instead of silently ignoring it.
-    #[test]
-    fn conflicting_bounds_keep_first_registration_and_are_counted() {
-        let _guard = tests_lock();
-        crate::enable();
-        reset();
-        observe("lat", 0.5, &[1.0, 10.0]);
-        observe("lat", 5.0, &[2.0, 20.0, 200.0]);
-        let snap = snapshot();
-        crate::disable();
-        let h = &snap.histograms["lat"];
-        assert_eq!(h.bounds, vec![1.0, 10.0], "first registration must win");
-        // 5.0 was still recorded, bucketed by the registered bounds.
-        assert_eq!(h.counts, vec![1, 1, 0]);
-        assert_eq!(h.count, 2);
-        assert_eq!(snap.counters[METRIC_BOUNDS_CONFLICTS], 1);
-    }
-
-    #[test]
-    fn matching_bounds_do_not_count_as_conflicts() {
-        let _guard = tests_lock();
-        crate::enable();
-        reset();
-        observe("lat", 0.5, &[1.0, 10.0]);
-        observe("lat", 5.0, &[1.0, 10.0]);
-        let snap = snapshot();
-        crate::disable();
-        assert!(!snap.counters.contains_key(METRIC_BOUNDS_CONFLICTS));
-    }
-
-    #[test]
     fn sketches_register_and_report_quantiles() {
         let _guard = tests_lock();
         crate::enable();
@@ -463,56 +265,51 @@ mod tests {
     }
 
     #[test]
-    fn merge_quantile_folds_worker_sketches() {
-        let _guard = tests_lock();
-        crate::enable();
-        reset();
-        let mut local = QuantileSketch::new();
-        local.observe(3.0);
-        local.observe(4.0);
-        merge_quantile("sizes", &local);
-        observe_quantile("sizes", 5.0);
-        let snap = snapshot();
-        crate::disable();
-        assert_eq!(snap.sketches["sizes"].finite_count(), 3);
-    }
-
-    #[test]
     fn snapshot_json_is_wellformed() {
         let _guard = tests_lock();
         crate::enable();
         reset();
         counter_add("a.b", 1);
         gauge_set("g", 2.0);
-        observe("h", 0.5, &[1.0]);
         observe_quantile("s", 2.0);
         let json = snapshot().to_json();
         crate::disable();
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"a.b\":1"));
         assert!(json.contains("\"g\":2.0"));
-        assert!(json.contains("\"bounds\":[1.0]"));
         assert!(json.contains("\"sketches\":{\"s\":{\"count\":1,"));
         assert!(json.ends_with("}}"));
     }
 
-    /// Satellite regression: NaN gauges and inf observations must not
-    /// produce invalid JSON tokens.
+    /// Regression: non-finite gauges must not produce invalid JSON
+    /// tokens.
     #[test]
     fn non_finite_values_serialize_as_null() {
         let _guard = tests_lock();
         crate::enable();
         reset();
         gauge_set("bad_gauge", f64::NAN);
-        observe("h", f64::INFINITY, &[1.0]);
+        gauge_set("worse_gauge", f64::INFINITY);
         let json = snapshot().to_json();
         crate::disable();
         assert!(json.contains("\"bad_gauge\":null"));
-        // The inf observation lands in the overflow bucket and poisons
-        // the sum, which must serialize as null, not `inf`.
-        assert!(json.contains("\"sum\":null"));
+        assert!(json.contains("\"worse_gauge\":null"));
         assert!(!json.contains("inf"));
         assert!(!json.contains("NaN"));
+    }
+
+    #[test]
+    fn an_empty_registry_renders_three_empty_families() {
+        let _guard = tests_lock();
+        crate::enable();
+        reset();
+        let snap = snapshot();
+        crate::disable();
+        assert_eq!(
+            snap.to_json(),
+            "{\"counters\":{},\"gauges\":{},\"sketches\":{}}"
+        );
+        assert_eq!(snap.to_prometheus(), "");
     }
 
     #[test]
@@ -522,8 +319,6 @@ mod tests {
         reset();
         counter_add("detect.path1_hits", 3);
         gauge_set("signal.online.products", 5.0);
-        observe("lat", 0.5, &[1.0, 10.0]);
-        observe("lat", 50.0, &[1.0, 10.0]);
         for i in 1..=10 {
             observe_quantile("scheme.suspicious_size", f64::from(i));
         }
@@ -531,11 +326,6 @@ mod tests {
         crate::disable();
         assert!(text.contains("# TYPE detect_path1_hits counter\ndetect_path1_hits 3\n"));
         assert!(text.contains("# TYPE signal_online_products gauge\nsignal_online_products 5\n"));
-        assert!(text.contains("# TYPE lat histogram\n"));
-        assert!(text.contains("lat_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("lat_bucket{le=\"10\"} 1\n"));
-        assert!(text.contains("lat_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("lat_count 2\n"));
         assert!(text.contains("# TYPE scheme_suspicious_size summary\n"));
         assert!(text.contains("scheme_suspicious_size{quantile=\"0.5\"}"));
         assert!(text.contains("scheme_suspicious_size_count 10\n"));

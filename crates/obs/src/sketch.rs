@@ -1,4 +1,4 @@
-//! Deterministic mergeable quantile sketches (DDSketch-style).
+//! Deterministic quantile sketches (DDSketch-style).
 //!
 //! A [`QuantileSketch`] summarises a stream of `f64` observations in
 //! logarithmic buckets with a *relative-error* guarantee: for any
@@ -6,15 +6,12 @@
 //! `|v̂ - v| <= RELATIVE_ERROR * |v|` against the exact quantile `v`
 //! of the observed finite values. The bucket for a positive value `v`
 //! is the integer `ceil(ln(v) / ln(GAMMA))`, so every observation maps
-//! to a bucket *index* and all state is integer counts:
-//!
-//! * merging two sketches adds `u64` bucket counts — associative,
-//!   commutative, and order-independent, so sketches filled by
-//!   `par_map` workers in any interleaving merge to bit-identical
-//!   state (unlike an `f64` running sum, which is not associative);
-//! * a snapshot of a sketch is byte-for-byte deterministic given the
-//!   multiset of observed values, regardless of observation order or
-//!   thread count.
+//! to a bucket *index* and all state is integer counts. Integer counts
+//! make the observation order irrelevant: a sketch is byte-for-byte
+//! determined by the multiset of observed values, so a registry sketch
+//! that `par_map` workers feed in any interleaving snapshots
+//! identically at any thread count (an `f64` running sum would not,
+//! since float addition is not associative).
 //!
 //! Negative values get their own mirror bucket map, zeros an exact
 //! counter, and non-finite observations (NaN/±inf) are counted but
@@ -34,8 +31,8 @@ pub const GAMMA: f64 = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR);
 /// clamp keeps index arithmetic comfortably inside `i32`.
 const MAX_BUCKET: i32 = 40_000;
 
-/// A mergeable log-bucketed quantile sketch with a fixed relative-error
-/// guarantee of [`RELATIVE_ERROR`].
+/// A log-bucketed quantile sketch with a fixed relative-error guarantee
+/// of [`RELATIVE_ERROR`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
     /// Bucket counts for positive observations, keyed by log index.
@@ -89,20 +86,6 @@ impl QuantileSketch {
         } else {
             *self.negative.entry(bucket_index(-value)).or_insert(0) += 1;
         }
-    }
-
-    /// Folds `other` into `self` by adding bucket counts. Order- and
-    /// grouping-independent: any merge tree over the same set of
-    /// observations yields bit-identical state.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&idx, &n) in &other.positive {
-            *self.positive.entry(idx).or_insert(0) += n;
-        }
-        for (&idx, &n) in &other.negative {
-            *self.negative.entry(idx).or_insert(0) += n;
-        }
-        self.zeros += other.zeros;
-        self.non_finite += other.non_finite;
     }
 
     /// Total observations, including non-finite ones.
@@ -168,7 +151,7 @@ impl QuantileSketch {
     }
 
     /// Renders the sketch as a JSON object: counts, the p50/p90/p99
-    /// summary, and the raw bucket maps (the mergeable state).
+    /// summary, and the raw bucket maps (the whole state).
     #[must_use]
     pub fn to_json(&self) -> String {
         let quant = |q: f64| {
@@ -201,6 +184,7 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_core::rng::{SliceRandom, Xoshiro256pp};
     use rrs_core::{prop_assert, props};
 
     #[test]
@@ -279,48 +263,24 @@ mod tests {
 
     props! {
         #[test]
-        fn merge_is_commutative_and_order_independent(
+        fn observation_order_does_not_change_the_state(
             values in rrs_core::check::vec_of(rrs_core::check::any_f64(), 1..=200),
-            split_frac in 0.0f64..1.0,
+            seed in 0u64..1_000_000,
         ) {
-            // One sketch fed sequentially vs a merge of two partial
-            // sketches, in both merge orders: all three must be
-            // bit-identical, including quantile bits.
-            let split = ((values.len() as f64) * split_frac) as usize;
-            let all = fill(&values);
-            let (left, right) = values.split_at(split);
-            let a = fill(left);
-            let b = fill(right);
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ba = b.clone();
-            ba.merge(&a);
-            prop_assert!(ab == all, "merge != sequential fill");
-            prop_assert!(ba == all, "merge is not commutative");
+            // The registry's sketches are fed by pool workers in whatever
+            // order they run: any permutation of the same values must
+            // leave bit-identical state, including quantile bits.
+            let mut shuffled = values.clone();
+            shuffled.shuffle(&mut Xoshiro256pp::seed_from_u64(seed));
+            let ordered = fill(&values);
+            let permuted = fill(&shuffled);
+            prop_assert!(ordered == permuted, "permutation changed sketch state");
             for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                let x = ab.quantile(q).map(f64::to_bits);
-                let y = ba.quantile(q).map(f64::to_bits);
+                let x = ordered.quantile(q).map(f64::to_bits);
+                let y = permuted.quantile(q).map(f64::to_bits);
                 prop_assert!(x == y, "quantile bits differ at q={q}");
             }
-        }
-
-        #[test]
-        fn merge_is_associative(
-            values in rrs_core::check::vec_of(rrs_core::check::any_f64(), 3..=120),
-        ) {
-            let third = values.len() / 3;
-            let a = fill(&values[..third]);
-            let b = fill(&values[third..2 * third]);
-            let c = fill(&values[2 * third..]);
-            // (a ∪ b) ∪ c vs a ∪ (b ∪ c)
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut right = a.clone();
-            right.merge(&bc);
-            prop_assert!(left == right, "merge grouping changed sketch state");
+            prop_assert!(ordered.approx_sum().to_bits() == permuted.approx_sum().to_bits());
         }
 
         #[test]

@@ -1,5 +1,5 @@
-//! The span/event tracer: monotonic timing into a thread-safe in-memory
-//! sink, with parent/child structure.
+//! The span tracer: monotonic timing into a thread-safe in-memory sink,
+//! with parent/child structure.
 //!
 //! A *span* measures one region of code: [`span`] starts the clock (only
 //! when [tracing](crate::tracing) is on) and the returned guard
@@ -17,10 +17,6 @@
 //! the collapsed-stack text format flamegraph tools consume: one line per
 //! `;`-joined name chain from root to leaf, with self-time (own
 //! nanoseconds minus direct children) as the sample value.
-//!
-//! An *event* is a named point-in-time note with a lazily built message —
-//! the closure only runs when tracing is on, so formatting costs
-//! nothing on the disabled path.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +24,6 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 static SPANS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
-static EVENTS: Mutex<Vec<EventRecord>> = Mutex::new(Vec::new());
 
 /// Monotonic span-id source. Ids are unique per process, never reused,
 /// and carry no timing or ordering guarantees across threads — they
@@ -52,15 +47,6 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span on the same thread, or 0 for a root.
     pub parent: u64,
-}
-
-/// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventRecord {
-    /// Dotted event name.
-    pub name: &'static str,
-    /// The rendered message.
-    pub message: String,
 }
 
 /// An in-flight span; records itself into the sink when dropped.
@@ -136,32 +122,9 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Records an event. The message closure only runs when tracing is on.
-#[inline]
-pub fn event<F: FnOnce() -> String>(name: &'static str, message: F) {
-    if !crate::tracing() {
-        return;
-    }
-    let record = EventRecord {
-        name,
-        message: message(),
-    };
-    if let Ok(mut sink) = EVENTS.lock() {
-        sink.push(record);
-    }
-}
-
 /// Takes every completed span out of the sink, in completion order.
 pub fn drain_spans() -> Vec<SpanRecord> {
     SPANS
-        .lock()
-        .map(|mut v| std::mem::take(&mut *v))
-        .unwrap_or_default()
-}
-
-/// Takes every recorded event out of the sink, in record order.
-pub fn drain_events() -> Vec<EventRecord> {
-    EVENTS
         .lock()
         .map(|mut v| std::mem::take(&mut *v))
         .unwrap_or_default()
@@ -414,27 +377,6 @@ mod tests {
         // span on this thread is a root again.
         let after = spans.iter().find(|s| s.name == "stage.after").unwrap();
         assert_eq!(after.parent, 0);
-    }
-
-    #[test]
-    fn disabled_event_never_runs_the_closure() {
-        let _guard = tests_lock();
-        crate::disable();
-        drain_events();
-        event("stage.note", || panic!("must not be called"));
-        assert!(drain_events().is_empty());
-    }
-
-    #[test]
-    fn enabled_event_captures_message() {
-        let _guard = tests_lock();
-        crate::enable();
-        drain_events();
-        event("stage.note", || format!("answer {}", 42));
-        let events = drain_events();
-        crate::disable();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].message, "answer 42");
     }
 
     #[test]

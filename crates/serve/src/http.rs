@@ -40,10 +40,9 @@ pub enum Method {
 pub struct Request {
     /// The method.
     pub method: Method,
-    /// The path component of the target (before any `?`).
+    /// The path component of the target (before any `?`; the query,
+    /// which no route reads, is dropped).
     pub path: String,
-    /// The raw query string, if any (after the `?`, undecoded).
-    pub query: Option<String>,
     /// Headers in arrival order, names lower-cased, values trimmed.
     pub headers: Vec<(String, String)>,
     /// The request body (empty unless `Content-Length` said otherwise).
@@ -177,10 +176,10 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Parsed, HttpError> {
     if target.bytes().any(|b| !(0x21..=0x7e).contains(&b)) {
         return Err(HttpError::new(400, "target contains forbidden bytes"));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
+    let path = target
+        .split_once('?')
+        .map_or(target, |(p, _)| p)
+        .to_string();
 
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
@@ -213,7 +212,6 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Parsed, HttpError> {
     let request = Request {
         method,
         path,
-        query,
         headers,
         body: Vec::new(),
         close: false,
@@ -439,7 +437,6 @@ mod tests {
         let r = parse_ok(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(r.method, Method::Get);
         assert_eq!(r.path, "/healthz");
-        assert_eq!(r.query, None);
         assert_eq!(r.header("host"), Some("x"));
         assert!(!r.close);
         assert!(r.body.is_empty());
@@ -456,7 +453,6 @@ mod tests {
     fn query_is_split_off() {
         let r = parse_ok(b"GET /trust?full=1 HTTP/1.1\r\n\r\n");
         assert_eq!(r.path, "/trust");
-        assert_eq!(r.query.as_deref(), Some("full=1"));
     }
 
     #[test]

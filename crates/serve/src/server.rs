@@ -47,8 +47,8 @@ use std::time::Duration;
 
 /// The [`rrs_obs`] collection level a live server runs at: metrics
 /// only. `GET /metrics` serves the registry, whose size is bounded by
-/// its series names; spans, events and decision records would pile up
-/// with every epoch, since nothing in a server ever drains them.
+/// its series names; spans and decision records would pile up with
+/// every epoch, since nothing in a server ever drains them.
 pub const COLLECTION: rrs_obs::Collection = rrs_obs::Collection::Metrics;
 
 /// How long one read or write on an accepted connection may block. A
@@ -142,63 +142,67 @@ impl Server {
         outcome
     }
 
-    /// Dispatches one request to the engine.
+    /// Dispatches one request to the engine: the path picks the
+    /// resource, each resource names the one method it answers, and a
+    /// path outside the table is 404.
     fn route(&mut self, request: &Request) -> Response {
         let segments: Vec<&str> = request.path.split('/').skip(1).collect();
-        match (request.method, segments.as_slice()) {
-            (Method::Get, ["healthz"]) => Response::json(format!(
-                "{{\"status\":\"ok\",\"epochs\":{},\"ratings\":{},\"wal_events\":{}}}\n",
-                self.engine.epochs(),
-                self.engine.ratings(),
-                self.engine.wal_events(),
-            )),
-            (Method::Get, ["metrics"]) => {
+        match segments.as_slice() {
+            ["healthz"] => self.on(Method::Get, request, |s| {
+                Response::json(format!(
+                    "{{\"status\":\"ok\",\"epochs\":{},\"ratings\":{},\"wal_events\":{}}}\n",
+                    s.engine.epochs(),
+                    s.engine.ratings(),
+                    s.engine.wal_events(),
+                ))
+            }),
+            ["metrics"] => self.on(Method::Get, request, |s| {
                 // The trust gauges cost O(raters), so a scrape pays for
                 // them once instead of every epoch.
-                self.engine.publish_trust_gauges();
+                s.engine.publish_trust_gauges();
                 Response::text(rrs_obs::metrics::snapshot().to_prometheus())
-            }
-            (Method::Post, ["ratings"]) => self.submit(&request.body),
-            (Method::Post, ["epochs"]) => match self.engine.advance_epoch() {
+            }),
+            ["ratings"] => self.on(Method::Post, request, |s| s.submit(&request.body)),
+            ["epochs"] => self.on(Method::Post, request, |s| match s.engine.advance_epoch() {
                 Ok(()) => Response::json(format!(
                     "{{\"epochs\":{},\"suspicious\":{}}}\n",
-                    self.engine.epochs(),
-                    self.engine.suspicious().len(),
+                    s.engine.epochs(),
+                    s.engine.suspicious().len(),
                 )),
                 Err(e) => Response::error(500, &format!("epoch failed: {e}")),
-            },
-            (Method::Post, ["checkpoint"]) => match self.engine.checkpoint() {
+            }),
+            ["checkpoint"] => self.on(Method::Post, request, |s| match s.engine.checkpoint() {
                 Ok(()) => Response::json(format!(
                     "{{\"checkpointed\":true,\"epochs\":{},\"wal_events\":{}}}\n",
-                    self.engine.epochs(),
-                    self.engine.wal_events(),
+                    s.engine.epochs(),
+                    s.engine.wal_events(),
                 )),
                 Err(e) => Response::error(500, &format!("checkpoint failed: {e}")),
-            },
-            (Method::Post, ["shutdown"]) => match self.engine.checkpoint() {
+            }),
+            ["shutdown"] => self.on(Method::Post, request, |s| match s.engine.checkpoint() {
                 Ok(()) => Response::json("{\"shutting_down\":true}\n".to_string()),
                 Err(e) => Response::error(500, &format!("shutdown checkpoint failed: {e}")),
-            },
-            (Method::Get, ["trust"]) => {
+            }),
+            ["trust"] => self.on(Method::Get, request, |s| {
                 let mut body = String::new();
-                for view in self.engine.trust_table() {
+                for view in s.engine.trust_table() {
                     body.push_str(&trust_line(&view));
                 }
                 Response::json(body)
-            }
-            (Method::Get, ["raters", id, "trust"]) => match parse_rater_id(id) {
-                Ok(rater) => match self.engine.trust_record(rater) {
+            }),
+            ["raters", id, "trust"] => self.on(Method::Get, request, |s| match parse_rater_id(id) {
+                Ok(rater) => match s.engine.trust_record(rater) {
                     Some(view) => Response::json(trust_line(&view)),
                     None => Response::json(format!(
                         "{{\"rater\":{},\"trust\":{},\"successes\":0,\"failures\":0,\"observed\":false}}\n",
                         rater.value(),
-                        json_number(self.engine.trust_of(rater)),
+                        json_number(s.engine.trust_of(rater)),
                     )),
                 },
                 Err(e) => Response::error(400, &e),
-            },
-            (Method::Get, ["products", id, "score"]) => match parse_product_id(id) {
-                Ok(product) => match self.engine.score_of(product) {
+            }),
+            ["products", id, "score"] => self.on(Method::Get, request, |s| match parse_product_id(id) {
+                Ok(product) => match s.engine.score_of(product) {
                     Some(report) => Response::json(format!(
                         "{{\"product\":{},\"score\":{},\"ratings_scored\":{},\"ratings_total\":{}}}\n",
                         report.product.value(),
@@ -215,40 +219,37 @@ impl Server {
                     ),
                 },
                 Err(e) => Response::error(400, &e),
-            },
-            (Method::Get, ["suspicious"]) => {
+            }),
+            ["suspicious"] => self.on(Method::Get, request, |s| {
                 let mut body = String::new();
-                for s in self.engine.suspicious_details() {
+                for d in s.engine.suspicious_details() {
                     body.push_str(&format!(
                         "{{\"id\":{},\"rater\":{},\"product\":{},\"day\":{},\"value\":{}}}\n",
-                        s.id.value(),
-                        s.rater.value(),
-                        s.product.value(),
-                        json_number(s.day.as_days()),
-                        json_number(s.value),
+                        d.id.value(),
+                        d.rater.value(),
+                        d.product.value(),
+                        json_number(d.day.as_days()),
+                        json_number(d.value),
                     ));
                 }
                 Response::json(body)
-            }
-            (method, _) => {
-                // Distinguish "wrong method on a real resource" from
-                // "no such resource".
-                let known_get = matches!(
-                    segments.as_slice(),
-                    ["healthz"] | ["metrics"] | ["trust"] | ["suspicious"]
-                        | ["raters", _, "trust"]
-                        | ["products", _, "score"]
-                );
-                let known_post = matches!(
-                    segments.as_slice(),
-                    ["ratings"] | ["epochs"] | ["checkpoint"] | ["shutdown"]
-                );
-                if (method == Method::Post && known_get) || (method == Method::Get && known_post) {
-                    Response::error(405, &format!("wrong method for {}", request.path))
-                } else {
-                    Response::error(404, &format!("no such resource {}", request.path))
-                }
-            }
+            }),
+            _ => Response::error(404, &format!("no such resource {}", request.path)),
+        }
+    }
+
+    /// Answers `request` with `handler` when it uses `method`, the one
+    /// method its resource takes, and with 405 otherwise.
+    fn on(
+        &mut self,
+        method: Method,
+        request: &Request,
+        handler: impl FnOnce(&mut Self) -> Response,
+    ) -> Response {
+        if request.method == method {
+            handler(self)
+        } else {
+            Response::error(405, &format!("wrong method for {}", request.path))
         }
     }
 
@@ -503,21 +504,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// Every route and a few unknown paths under both methods, sent in
+    /// this order to one fresh server, each with the exact response it
+    /// must answer: 405 for a known path under the wrong method, 404 for
+    /// an unknown path under either.
+    const ROUTE_TABLE: &[(&str, &str)] = &[
+        ("GET /healthz", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 54\r\n\r\n{\"status\":\"ok\",\"epochs\":0,\"ratings\":0,\"wal_events\":0}\n"),
+        ("POST /healthz", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 38\r\n\r\n{\"error\":\"wrong method for /healthz\"}\n"),
+        ("GET /metrics", "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 0\r\n\r\n"),
+        ("POST /metrics", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 38\r\n\r\n{\"error\":\"wrong method for /metrics\"}\n"),
+        ("GET /trust", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 0\r\n\r\n"),
+        ("POST /trust", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 36\r\n\r\n{\"error\":\"wrong method for /trust\"}\n"),
+        ("GET /suspicious", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 0\r\n\r\n"),
+        ("POST /suspicious", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 41\r\n\r\n{\"error\":\"wrong method for /suspicious\"}\n"),
+        ("GET /raters/7/trust", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 68\r\n\r\n{\"rater\":7,\"trust\":0.5,\"successes\":0,\"failures\":0,\"observed\":false}\n"),
+        ("POST /raters/7/trust", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 45\r\n\r\n{\"error\":\"wrong method for /raters/7/trust\"}\n"),
+        ("GET /raters/x/trust", "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 54\r\nConnection: close\r\n\r\n{\"error\":\"bad rater id \\\"x\\\": invalid float literal\"}\n"),
+        ("POST /raters/x/trust", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 45\r\n\r\n{\"error\":\"wrong method for /raters/x/trust\"}\n"),
+        ("GET /products/0/score", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 37\r\n\r\n{\"error\":\"product 0 has no ratings\"}\n"),
+        ("POST /products/0/score", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 47\r\n\r\n{\"error\":\"wrong method for /products/0/score\"}\n"),
+        ("GET /products/x/score", "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 56\r\nConnection: close\r\n\r\n{\"error\":\"bad product id \\\"x\\\": invalid float literal\"}\n"),
+        ("POST /products/x/score", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 47\r\n\r\n{\"error\":\"wrong method for /products/x/score\"}\n"),
+        ("GET /ratings", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 38\r\n\r\n{\"error\":\"wrong method for /ratings\"}\n"),
+        ("POST /ratings", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 30\r\n\r\n{\"accepted\":0,\"wal_events\":0}\n"),
+        ("GET /epochs", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 37\r\n\r\n{\"error\":\"wrong method for /epochs\"}\n"),
+        ("POST /epochs", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 28\r\n\r\n{\"epochs\":1,\"suspicious\":0}\n"),
+        ("GET /checkpoint", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 41\r\n\r\n{\"error\":\"wrong method for /checkpoint\"}\n"),
+        ("POST /checkpoint", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 48\r\n\r\n{\"checkpointed\":true,\"epochs\":1,\"wal_events\":1}\n"),
+        ("GET /", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 31\r\n\r\n{\"error\":\"no such resource /\"}\n"),
+        ("POST /", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 31\r\n\r\n{\"error\":\"no such resource /\"}\n"),
+        ("GET /nope", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 35\r\n\r\n{\"error\":\"no such resource /nope\"}\n"),
+        ("POST /nope", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 35\r\n\r\n{\"error\":\"no such resource /nope\"}\n"),
+        ("GET /healthz/", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 39\r\n\r\n{\"error\":\"no such resource /healthz/\"}\n"),
+        ("POST /healthz/", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 39\r\n\r\n{\"error\":\"no such resource /healthz/\"}\n"),
+        ("GET /Healthz", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 38\r\n\r\n{\"error\":\"no such resource /Healthz\"}\n"),
+        ("POST /Healthz", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 38\r\n\r\n{\"error\":\"no such resource /Healthz\"}\n"),
+        ("GET /raters/7", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 39\r\n\r\n{\"error\":\"no such resource /raters/7\"}\n"),
+        ("POST /raters/7", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 39\r\n\r\n{\"error\":\"no such resource /raters/7\"}\n"),
+        ("GET /products/0/score/extra", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 53\r\n\r\n{\"error\":\"no such resource /products/0/score/extra\"}\n"),
+        ("POST /products/0/score/extra", "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 53\r\n\r\n{\"error\":\"no such resource /products/0/score/extra\"}\n"),
+        ("GET /trust?full=1", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 0\r\n\r\n"),
+        ("POST /trust?full=1", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 36\r\n\r\n{\"error\":\"wrong method for /trust\"}\n"),
+        ("GET /shutdown", "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\nContent-Length: 39\r\n\r\n{\"error\":\"wrong method for /shutdown\"}\n"),
+        ("POST /shutdown", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 23\r\n\r\n{\"shutting_down\":true}\n"),
+    ];
+
     #[test]
     fn unknown_paths_and_wrong_methods_are_distinguished() {
-        let dir = scratch("routes");
+        let dir = scratch("route-table");
         let mut server = server(&dir);
-        let (response, _) = exchange(&mut server, "GET /nope HTTP/1.1\r\n\r\n");
-        assert!(response.starts_with("HTTP/1.1 404"), "got {response}");
-        let (response, _) = exchange(&mut server, "GET /epochs HTTP/1.1\r\n\r\n");
-        assert!(response.starts_with("HTTP/1.1 405"), "got {response}");
-        let (response, _) = exchange(
-            &mut server,
-            "POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
-        );
-        assert!(response.starts_with("HTTP/1.1 405"), "got {response}");
-        let (response, _) = exchange(&mut server, "GET /raters/nope/trust HTTP/1.1\r\n\r\n");
-        assert!(response.starts_with("HTTP/1.1 400"), "got {response}");
+        for (request_line, expected) in ROUTE_TABLE {
+            let request = format!("{request_line} HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+            let (response, _) = exchange(&mut server, &request);
+            assert_eq!(response, *expected, "{request_line}");
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -1,11 +1,11 @@
-//! Agglomerative single-linkage clustering.
+//! Single-linkage clustering on the real line.
 //!
 //! The histogram-change detector (paper Section IV-D) clusters the rating
 //! values in a window into two groups — the paper used MATLAB's
-//! `clusterdata()` with the simple-linkage method. Two equivalent
-//! implementations are provided: a general agglomerative procedure and a
-//! fast 1-D shortcut (single linkage on the real line is exactly "cut the
-//! k−1 largest gaps in sorted order"), which is the one detectors use.
+//! `clusterdata()` with the simple-linkage method. Single linkage on the
+//! real line is exactly "cut the k−1 largest gaps in sorted order", which
+//! is what [`single_linkage_1d`] does; the tests hold it to the general
+//! agglomerative procedure.
 
 /// Clusters 1-D `values` into `k` groups by single linkage.
 ///
@@ -51,66 +51,6 @@ pub fn single_linkage_1d(values: &[f64], k: usize) -> Vec<usize> {
     labels
 }
 
-/// General agglomerative single-linkage clustering of 1-D `values` into
-/// `k` groups.
-///
-/// Starts from singletons and repeatedly merges the two clusters with the
-/// smallest single-link (minimum pairwise) distance until `k` clusters
-/// remain. Quadratic in the input size — fine for the ≤ 40-rating windows
-/// the detectors use. Label conventions match [`single_linkage_1d`].
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn single_linkage(values: &[f64], k: usize) -> Vec<usize> {
-    assert!(k > 0, "cannot form zero clusters");
-    let n = values.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Cluster membership lists.
-    let mut clusters: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-
-    while clusters.len() > k {
-        // Find the pair with the smallest single-link distance.
-        let mut best = (f64::INFINITY, 0usize, 1usize);
-        for i in 0..clusters.len() {
-            for j in (i + 1)..clusters.len() {
-                let mut d = f64::INFINITY;
-                for &a in &clusters[i] {
-                    for &b in &clusters[j] {
-                        d = d.min((values[a] - values[b]).abs());
-                    }
-                }
-                if d < best.0 {
-                    best = (d, i, j);
-                }
-            }
-        }
-        if !best.0.is_finite() {
-            break;
-        }
-        let (_, i, j) = best;
-        let merged = clusters.swap_remove(j);
-        clusters[i].extend(merged);
-    }
-
-    // Order clusters by their minimum value so labels are deterministic.
-    clusters.sort_by(|a, b| {
-        let ma = a.iter().map(|&i| values[i]).fold(f64::INFINITY, f64::min);
-        let mb = b.iter().map(|&i| values[i]).fold(f64::INFINITY, f64::min);
-        ma.total_cmp(&mb)
-    });
-    let mut labels = vec![0usize; n];
-    for (label, members) in clusters.iter().enumerate() {
-        for &i in members {
-            labels[i] = label;
-        }
-    }
-    labels
-}
-
 /// Returns the sizes of the clusters identified by `labels`.
 #[must_use]
 pub fn cluster_sizes(labels: &[usize]) -> Vec<usize> {
@@ -127,6 +67,61 @@ mod tests {
     use super::*;
     use rrs_core::check::vec_of;
     use rrs_core::{prop_assert, prop_assert_eq, props};
+
+    /// General agglomerative single-linkage clustering of 1-D `values` into
+    /// `k` groups, the reference [`single_linkage_1d`] is checked against.
+    ///
+    /// Starts from singletons and repeatedly merges the two clusters with the
+    /// smallest single-link (minimum pairwise) distance until `k` clusters
+    /// remain. Quadratic in the input size. Label conventions match
+    /// [`single_linkage_1d`].
+    fn single_linkage(values: &[f64], k: usize) -> Vec<usize> {
+        assert!(k > 0, "cannot form zero clusters");
+        let n = values.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        // Cluster membership lists.
+        let mut clusters: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+
+        while clusters.len() > k {
+            // Find the pair with the smallest single-link distance.
+            let mut best = (f64::INFINITY, 0usize, 1usize);
+            for i in 0..clusters.len() {
+                for j in (i + 1)..clusters.len() {
+                    let mut d = f64::INFINITY;
+                    for &a in &clusters[i] {
+                        for &b in &clusters[j] {
+                            d = d.min((values[a] - values[b]).abs());
+                        }
+                    }
+                    if d < best.0 {
+                        best = (d, i, j);
+                    }
+                }
+            }
+            if !best.0.is_finite() {
+                break;
+            }
+            let (_, i, j) = best;
+            let merged = clusters.swap_remove(j);
+            clusters[i].extend(merged);
+        }
+
+        // Order clusters by their minimum value so labels are deterministic.
+        clusters.sort_by(|a, b| {
+            let ma = a.iter().map(|&i| values[i]).fold(f64::INFINITY, f64::min);
+            let mb = b.iter().map(|&i| values[i]).fold(f64::INFINITY, f64::min);
+            ma.total_cmp(&mb)
+        });
+        let mut labels = vec![0usize; n];
+        for (label, members) in clusters.iter().enumerate() {
+            for &i in members {
+                labels[i] = label;
+            }
+        }
+        labels
+    }
 
     fn partition_sets(labels: &[usize]) -> Vec<std::collections::BTreeSet<usize>> {
         let k = labels.iter().copied().max().map_or(0, |m| m + 1);

@@ -1,55 +1,10 @@
 //! Generalized likelihood ratio tests used by the detectors.
 //!
-//! Two tests from the paper:
-//!
-//! * **Gaussian mean change** (Section IV-B, Eq. 1): both window halves are
-//!   modeled i.i.d. Gaussian with common variance `σ²`; the GLRT statistic
-//!   is `W(Â₁ − Â₂)² / (2σ²)` with `W` the half-window length.
-//! * **Poisson arrival-rate change** (Section IV-C, Eq. 5): daily rating
-//!   counts are Poisson; the statistic is
-//!   `(a/2D)·Ȳ₁ ln Ȳ₁ + (b/2D)·Ȳ₂ ln Ȳ₂ − Ȳ ln Ȳ`.
-
-use crate::stats;
-
-/// The Gaussian mean-change GLRT statistic `W(Â₁ − Â₂)² / (2σ²)` (paper
-/// Eq. 1).
-///
-/// `sigma2` is the (assumed common) noise variance. Returns `None` if
-/// either half is empty or `sigma2` is non-positive. When the halves have
-/// unequal lengths (shrunken edge windows) `W` is the harmonic mean-like
-/// effective length `n₁n₂/(n₁+n₂) · 2`, which reduces to `W = n` for equal
-/// halves and keeps the statistic χ²₁-scaled.
-#[must_use]
-pub fn mean_change_glrt(x1: &[f64], x2: &[f64], sigma2: f64) -> Option<f64> {
-    if x1.is_empty() || x2.is_empty() || sigma2 <= 0.0 {
-        return None;
-    }
-    let a1 = stats::mean(x1)?;
-    let a2 = stats::mean(x2)?;
-    let n1 = x1.len() as f64;
-    let n2 = x2.len() as f64;
-    let w_eff = 2.0 * n1 * n2 / (n1 + n2);
-    Some(w_eff * (a1 - a2).powi(2) / (2.0 * sigma2))
-}
-
-/// The unnormalized mean-change indicator `W(Â₁ − Â₂)²` used to build the
-/// MC indicator curve (paper Section IV-B.2).
-///
-/// The paper plots `MC(k) = W(Â₁ − Â₂)²` without dividing by the noise
-/// variance so that the curve is comparable across windows; the variance
-/// enters only through the decision threshold.
-#[must_use]
-pub fn mean_change_indicator(x1: &[f64], x2: &[f64]) -> Option<f64> {
-    if x1.is_empty() || x2.is_empty() {
-        return None;
-    }
-    let a1 = stats::mean(x1)?;
-    let a2 = stats::mean(x2)?;
-    let n1 = x1.len() as f64;
-    let n2 = x2.len() as f64;
-    let w_eff = 2.0 * n1 * n2 / (n1 + n2);
-    Some(w_eff * (a1 - a2).powi(2))
-}
+//! The Poisson arrival-rate change test of the paper (Section IV-C,
+//! Eq. 5): daily rating counts are Poisson; the statistic is
+//! `(a/2D)·Ȳ₁ ln Ȳ₁ + (b/2D)·Ȳ₂ ln Ȳ₂ − Ȳ ln Ȳ`. The Gaussian
+//! mean-change test of Eq. 1 is computed by the MC detector itself
+//! (`rrs_detectors::mc`), from prefix sums over a product's value column.
 
 /// `x ln x`, continuously extended with `0 ln 0 = 0`.
 fn xlnx(x: f64) -> f64 {
@@ -108,43 +63,6 @@ mod tests {
     use rrs_core::{prop_assert, props};
 
     #[test]
-    fn mean_change_zero_when_equal() {
-        let x = [4.0; 10];
-        assert_eq!(mean_change_glrt(&x, &x, 1.0), Some(0.0));
-        assert_eq!(mean_change_indicator(&x, &x), Some(0.0));
-    }
-
-    #[test]
-    fn mean_change_matches_formula_for_equal_halves() {
-        // Halves of length 5, means 4 and 2, sigma2 = 0.5:
-        // W (A1-A2)^2 / (2 sigma2) = 5 * 4 / 1 = 20.
-        let x1 = [4.0; 5];
-        let x2 = [2.0; 5];
-        let v = mean_change_glrt(&x1, &x2, 0.5).unwrap();
-        assert!((v - 20.0).abs() < 1e-12);
-        let ind = mean_change_indicator(&x1, &x2).unwrap();
-        assert!((ind - 20.0 * 1.0).abs() < 1e-12); // W (A1-A2)^2 = 5*4
-        assert!((ind - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_change_handles_unequal_halves() {
-        let x1 = [4.0; 2];
-        let x2 = [2.0; 8];
-        // w_eff = 2*2*8/10 = 3.2; stat = 3.2*4/(2*1) = 6.4
-        let v = mean_change_glrt(&x1, &x2, 1.0).unwrap();
-        assert!((v - 6.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_change_rejects_degenerate_inputs() {
-        assert_eq!(mean_change_glrt(&[], &[1.0], 1.0), None);
-        assert_eq!(mean_change_glrt(&[1.0], &[], 1.0), None);
-        assert_eq!(mean_change_glrt(&[1.0], &[1.0], 0.0), None);
-        assert_eq!(mean_change_indicator(&[], &[]), None);
-    }
-
-    #[test]
     fn arrival_rate_zero_when_rates_equal() {
         let y = [3u32; 10];
         let v = arrival_rate_glrt(&y, &y).unwrap();
@@ -186,28 +104,6 @@ mod tests {
     }
 
     props! {
-        #[test]
-        fn glrt_nonnegative(
-            x1 in vec_of(-10.0f64..10.0, 1..20),
-            x2 in vec_of(-10.0f64..10.0, 1..20),
-            sigma2 in 0.01f64..10.0,
-        ) {
-            prop_assert!(mean_change_glrt(&x1, &x2, sigma2).unwrap() >= 0.0);
-        }
-
-        #[test]
-        fn glrt_shift_invariant(
-            x1 in vec_of(-5.0f64..5.0, 2..20),
-            x2 in vec_of(-5.0f64..5.0, 2..20),
-            shift in -100.0f64..100.0,
-        ) {
-            let s1: Vec<f64> = x1.iter().map(|v| v + shift).collect();
-            let s2: Vec<f64> = x2.iter().map(|v| v + shift).collect();
-            let a = mean_change_glrt(&x1, &x2, 1.0).unwrap();
-            let b = mean_change_glrt(&s1, &s2, 1.0).unwrap();
-            prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()));
-        }
-
         #[test]
         fn arrival_rate_nonnegative(
             y1 in vec_of(0u32..20, 1..30),

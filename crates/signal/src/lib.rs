@@ -4,16 +4,17 @@
 //! implemented here from first principles:
 //!
 //! * descriptive statistics ([`stats`]),
-//! * the Gaussian mean-change GLRT of Eq. (1) and the Poisson
-//!   arrival-rate GLRT of Eq. (5) ([`glrt`]),
+//! * the Poisson arrival-rate GLRT of Eq. (5) ([`glrt`]; the MC detector
+//!   computes Eq. (1) itself from prefix sums),
 //! * autoregressive modeling by the covariance method, used by the
 //!   model-error detector ([`ar`]), backed by a small dense linear solver
 //!   ([`linalg`]),
-//! * single-linkage agglomerative clustering, replacing MATLAB's
-//!   `clusterdata()` in the histogram-change detector ([`cluster`]),
+//! * single-linkage clustering on the real line (cut the largest gaps),
+//!   replacing MATLAB's `clusterdata()` in the histogram-change detector
+//!   ([`cluster`]),
 //! * indicator-curve analysis: peaks, U-shapes, segmentation ([`curve`]),
-//! * special functions for the beta-reputation machinery: `ln Γ`, the
-//!   regularized incomplete beta function and its inverse ([`special`]),
+//! * special functions: `ln Γ` and the regularized incomplete beta
+//!   function ([`special`]),
 //! * random sampling primitives (Gaussian via Box–Muller, Poisson,
 //!   truncated normal) used by the fair-data and attack generators
 //!   ([`sampling`]),
@@ -34,7 +35,7 @@ pub mod special;
 pub mod stats;
 
 pub use ar::{fit_ar, ArModel};
-pub use cluster::{single_linkage, single_linkage_1d};
+pub use cluster::single_linkage_1d;
 pub use curve::{Curve, CurvePoint, Peak, UShape};
-pub use glrt::{arrival_rate_glrt, mean_change_glrt, mean_change_indicator};
-pub use special::{ln_gamma, reg_inc_beta, reg_inc_beta_inv};
+pub use glrt::arrival_rate_glrt;
+pub use special::{ln_gamma, reg_inc_beta};

@@ -1,11 +1,9 @@
-//! Special functions: `ln Γ`, the regularized incomplete beta function and
-//! its inverse.
+//! Special functions: `ln Γ` and the regularized incomplete beta
+//! function, the Beta distribution's CDF.
 //!
-//! These power the beta-reputation machinery (the BF-scheme of
-//! Whitby–Jøsang filters raters by beta-distribution quantiles). The
-//! implementations follow the classical Lanczos approximation and the
-//! Lentz continued-fraction evaluation described in *Numerical Recipes*,
-//! re-derived here without any external dependency.
+//! The implementations follow the classical Lanczos approximation and
+//! the Lentz continued-fraction evaluation described in *Numerical
+//! Recipes*, re-derived here without any external dependency.
 
 /// Lanczos coefficients (g = 7, n = 9), good to ~15 significant digits.
 const LANCZOS_G: f64 = 7.0;
@@ -131,60 +129,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Inverse of the regularized incomplete beta function: returns `x` with
-/// `I_x(a, b) = p`.
-///
-/// This is the Beta(a, b) quantile function; the BF-scheme uses it to form
-/// each rater's `q`/`1−q` acceptance interval.
-///
-/// # Panics
-///
-/// Panics if `a` or `b` is non-positive, or `p` lies outside `[0, 1]`.
-#[must_use]
-pub fn reg_inc_beta_inv(a: f64, b: f64, p: f64) -> f64 {
-    assert!(a > 0.0 && b > 0.0, "beta parameters must be positive");
-    assert!((0.0..=1.0).contains(&p), "p must lie in [0, 1], got {p}");
-    // lint:allow(float-eq): exact endpoint probabilities invert to the domain endpoints
-    if p == 0.0 {
-        return 0.0;
-    }
-    // lint:allow(float-eq): exact endpoint probabilities invert to the domain endpoints
-    if p == 1.0 {
-        return 1.0;
-    }
-    // Bisection with a Newton polish: the CDF is monotone on [0, 1], so
-    // bisection is unconditionally safe; Newton tightens the last digits.
-    let mut lo = 0.0f64;
-    let mut hi = 1.0f64;
-    let mut x = a / (a + b); // mean as the starting guess
-    for _ in 0..200 {
-        let f = reg_inc_beta(a, b, x) - p;
-        if f.abs() < 1e-14 {
-            break;
-        }
-        if f > 0.0 {
-            hi = x;
-        } else {
-            lo = x;
-        }
-        // Newton step using the beta density as the derivative.
-        let ln_pdf = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-            + (a - 1.0) * x.ln()
-            + (b - 1.0) * (1.0 - x).ln();
-        let pdf = ln_pdf.exp();
-        let newton = if pdf > 1e-300 { x - f / pdf } else { f64::NAN };
-        x = if newton.is_finite() && newton > lo && newton < hi {
-            newton
-        } else {
-            (lo + hi) / 2.0
-        };
-        if hi - lo < 1e-15 {
-            break;
-        }
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,26 +191,11 @@ mod tests {
         assert!((reg_inc_beta(1.0, 2.0, 0.6) - 0.84).abs() < 1e-12);
     }
 
-    #[test]
-    fn inverse_known_values() {
-        assert!((reg_inc_beta_inv(2.0, 1.0, 0.36) - 0.6).abs() < 1e-9);
-        assert!((reg_inc_beta_inv(1.0, 1.0, 0.42) - 0.42).abs() < 1e-9);
-        assert_eq!(reg_inc_beta_inv(3.0, 4.0, 0.0), 0.0);
-        assert_eq!(reg_inc_beta_inv(3.0, 4.0, 1.0), 1.0);
-    }
-
     props! {
         #[test]
         fn inc_beta_is_monotone(a in 0.2f64..20.0, b in 0.2f64..20.0, x1 in 0.0f64..1.0, x2 in 0.0f64..1.0) {
             let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
             prop_assert!(reg_inc_beta(a, b, lo) <= reg_inc_beta(a, b, hi) + 1e-12);
-        }
-
-        #[test]
-        fn inverse_round_trips(a in 0.5f64..15.0, b in 0.5f64..15.0, p in 0.001f64..0.999) {
-            let x = reg_inc_beta_inv(a, b, p);
-            let back = reg_inc_beta(a, b, x);
-            prop_assert!((back - p).abs() < 1e-8, "a={} b={} p={} x={} back={}", a, b, p, x, back);
         }
 
         #[test]

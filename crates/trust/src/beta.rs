@@ -79,13 +79,6 @@ impl BetaTrust {
         self.f
     }
 
-    /// Returns the total number of observations behind this record — a
-    /// crude confidence measure (more observations, tighter posterior).
-    #[must_use]
-    pub fn observations(&self) -> f64 {
-        self.s + self.f
-    }
-
     /// Applies exponential forgetting: both counts are scaled by
     /// `factor ∈ [0, 1]`.
     ///
@@ -126,7 +119,10 @@ mod tests {
     #[test]
     fn fresh_record_is_neutral() {
         assert_eq!(BetaTrust::new().trust(), 0.5);
-        assert_eq!(BetaTrust::new().observations(), 0.0);
+        assert_eq!(
+            BetaTrust::new().successes() + BetaTrust::new().failures(),
+            0.0
+        );
     }
 
     #[test]
