@@ -8,7 +8,7 @@
 //!    opinion — the median of the window's values (the median resists
 //!    the drag an attack exerts on the mean).
 //! 2. Exclude every rater whose (mean) rating value is *far from the
-//!    majority's opinion*: farther than `k` times the window's value
+//!    majority's opinion*: farther than `K` times the window's value
 //!    spread. The spread-scaled radius is the paper's own account of why
 //!    this family fails — "when the overall rating values have a large
 //!    variation, it is difficult to judge whether some specific rating
@@ -28,57 +28,29 @@ use rrs_core::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Configuration of the BF-scheme.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BfConfig {
-    /// Exclusion radius in units of the window's robust value spread
-    /// (1.4826 × MAD): a rater is excluded when their mean value sits
-    /// more than `k × spread` from the majority opinion.
-    pub k: f64,
-    /// Lower bound on the spread (normalized units), so a freakishly
-    /// quiet window cannot exclude everyone.
-    pub spread_floor: f64,
-}
+/// Exclusion radius in units of the window's robust value spread
+/// (1.4826 × MAD): a rater is excluded when their mean value sits more
+/// than `K × spread` from the majority opinion.
+///
+/// K = 2.8 keeps the filter just sharp enough to cut the zero-variance
+/// extreme corner (distance ~0.72 normalized vs a bimodality-inflated
+/// spread of ~0.3) while anything with moderate variance widens the
+/// radius past its own distance — the Fig. 4 behavior.
+const K: f64 = 2.8;
 
-impl Default for BfConfig {
-    fn default() -> Self {
-        // k = 2.8 keeps the filter just sharp enough to cut the
-        // zero-variance extreme corner (distance ~0.72 normalized vs a
-        // bimodality-inflated spread of ~0.3) while anything with
-        // moderate variance widens the radius past its own distance —
-        // the Fig. 4 behavior.
-        BfConfig {
-            k: 2.8,
-            spread_floor: 0.1,
-        }
-    }
-}
+/// Lower bound on the spread (normalized units), so a freakishly quiet
+/// window cannot exclude everyone.
+const SPREAD_FLOOR: f64 = 0.1;
 
 /// Beta-function filtering aggregation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BfScheme {
-    config: BfConfig,
-}
+pub struct BfScheme;
 
 impl BfScheme {
-    /// Creates the scheme with default configuration.
+    /// Creates the scheme.
     #[must_use]
     pub fn new() -> Self {
-        BfScheme::default()
-    }
-
-    /// Creates the scheme with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` or `spread_floor` is not strictly positive.
-    #[must_use]
-    pub fn with_config(config: BfConfig) -> Self {
-        assert!(
-            config.k > 0.0 && config.spread_floor > 0.0,
-            "k and spread_floor must be positive"
-        );
-        BfScheme { config }
+        BfScheme
     }
 }
 
@@ -157,9 +129,9 @@ impl BfScheme {
         // attack's own bimodal mass — otherwise a large enough attack
         // would widen its own acceptance radius.
         let deviations: Vec<f64> = all_values.iter().map(|v| (v - majority).abs()).collect();
-        let spread = (1.4826 * rrs_signal::stats::median(&deviations).unwrap_or(0.0))
-            .max(self.config.spread_floor);
-        let radius = self.config.k * spread;
+        let spread =
+            (1.4826 * rrs_signal::stats::median(&deviations).unwrap_or(0.0)).max(SPREAD_FLOOR);
+        let radius = K * spread;
         for (rater, values) in &per_rater {
             let mean = values.iter().sum::<f64>() / values.len() as f64;
             if (mean - majority).abs() > radius {
@@ -258,22 +230,8 @@ mod tests {
     }
 
     #[test]
-    fn name_and_config_validation() {
+    fn scheme_name() {
         assert_eq!(BfScheme::new().name(), "BF-scheme");
-        let custom = BfScheme::with_config(BfConfig {
-            k: 1.5,
-            spread_floor: 0.05,
-        });
-        assert_eq!(custom.config.k, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_k_panics() {
-        let _ = BfScheme::with_config(BfConfig {
-            k: 0.0,
-            spread_floor: 0.1,
-        });
     }
 
     #[test]

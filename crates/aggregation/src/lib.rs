@@ -26,7 +26,7 @@ pub mod p_scheme;
 pub mod sa;
 pub mod weighted;
 
-pub use bf::{BfConfig, BfScheme};
+pub use bf::BfScheme;
 pub use p_scheme::{PScheme, PSchemeConfig, PSchemeState};
 pub use sa::SaScheme;
 pub use weighted::weighted_aggregate;

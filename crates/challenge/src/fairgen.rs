@@ -276,10 +276,10 @@ mod tests {
         for p in catalog.products().iter().take(3) {
             let values = d.product(p.id).unwrap().values();
             assert!(
-                rrs_signal::autocorr::looks_white(&values, 10),
+                rrs_signal::autocorr::looks_white(values, 10),
                 "{}: fair stream fails the whiteness check (Q = {:?})",
                 p.name,
-                rrs_signal::autocorr::ljung_box(&values, 10)
+                rrs_signal::autocorr::ljung_box(values, 10)
             );
         }
     }

@@ -98,9 +98,9 @@ impl RatingEntry {
 /// Callers read through one indexed API (`len` /
 /// [`entry`](TimelineView::entry) / [`value_at`](TimelineView::value_at)
 /// / …) or the by-value [`iter`](TimelineView::iter).
-/// [`values`](TimelineView::values) and [`times`](TimelineView::times)
-/// are contiguous column copies — the cache-friendly scans the detectors
-/// feed on.
+/// [`values`](TimelineView::values) borrows the contiguous value column
+/// and [`times`](TimelineView::times) copies the time column — the
+/// cache-friendly scans the detectors feed on.
 ///
 /// The type is `Copy`; methods take `self`, and window restriction
 /// ([`in_window`](TimelineView::in_window)) returns a sub-view borrowing
@@ -259,11 +259,11 @@ impl<'a> TimelineView<'a> {
         self.times.partition_point(|&time| time < t)
     }
 
-    /// Returns all rating values in time order: a straight copy of the
-    /// contiguous `f64` column.
+    /// Returns all rating values in time order: the contiguous `f64`
+    /// column itself, borrowed from the dataset.
     #[must_use]
-    pub fn values(self) -> Vec<f64> {
-        self.values.to_vec()
+    pub fn values(self) -> &'a [f64] {
+        self.values
     }
 
     /// Returns all rating times in time order.

@@ -43,48 +43,42 @@ impl ArcVariant {
     }
 }
 
+/// Half-window `D` in days (paper: 30-day window, `D = 15`).
+pub(crate) const HALF_WINDOW_DAYS: usize = 15;
+/// Minimum days per half at the stream edges.
+pub(crate) const MIN_HALF_DAYS: usize = 4;
+/// Decision threshold on the GLRT statistic of Eq. 5. It corresponds to
+/// 2 ln Λ ≈ 2·(2D)·0.05 = 3 at D = 15 — deliberately permissive
+/// (χ²₁ p ≈ 0.08) so that even a diluted low-band drip (~0.3 extra
+/// ratings/day on a near-zero base) raises peaks. False peaks merely
+/// split the day axis; the segment-flag rule (rate increase above the
+/// threshold) and the two-path integration reject the noise.
+pub(crate) const GLRT_THRESHOLD: f64 = 0.05;
+/// Minimum day separation between retained peaks.
+pub(crate) const PEAK_SEPARATION: usize = 6;
+/// Valley-to-peak ratio below which two peaks frame a U-shape.
+pub(crate) const VALLEY_RATIO: f64 = 0.5;
+/// Scale-aware guard: a rate increase must also exceed this many
+/// standard deviations of the *difference* between the segment-rate
+/// estimate and the baseline estimate
+/// (`√(base/segment_days + base/baseline_days)` under the Poisson
+/// model), so that ordinary sampling noise on busy streams — or a
+/// baseline that was itself estimated from a short segment — never
+/// flags.
+pub(crate) const RATE_NOISE_FACTOR: f64 = 4.0;
+
 /// Configuration of the ARC detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArcConfig {
-    /// Half-window `D` in days (paper: 30-day window, `D = 15`).
-    pub half_window_days: usize,
-    /// Minimum days per half at the stream edges.
-    pub min_half_days: usize,
-    /// Decision threshold on the GLRT statistic of Eq. 5.
-    pub glrt_threshold: f64,
-    /// Minimum day separation between retained peaks.
-    pub peak_separation: usize,
-    /// Valley-to-peak ratio below which two peaks frame a U-shape.
-    pub valley_ratio: f64,
     /// A segment is suspicious when its rate exceeds the previous
     /// segment's by more than this many ratings/day.
     pub rate_increase_threshold: f64,
-    /// Scale-aware guard: the increase must also exceed this many
-    /// standard deviations of the *difference* between the segment-rate
-    /// estimate and the baseline estimate
-    /// (`√(base/segment_days + base/baseline_days)` under the Poisson
-    /// model), so that ordinary sampling noise on busy streams — or a
-    /// baseline that was itself estimated from a short segment — never
-    /// flags.
-    pub rate_noise_factor: f64,
 }
 
 impl Default for ArcConfig {
     fn default() -> Self {
-        // The GLRT threshold corresponds to 2 ln Λ ≈ 2·(2D)·0.05 = 3 at
-        // the default D = 15 — deliberately permissive (χ²₁ p ≈ 0.08) so
-        // that even a diluted low-band drip (~0.3 extra ratings/day on a
-        // near-zero base) raises peaks. False peaks merely split the day
-        // axis; the segment-flag rule (rate increase above the
-        // threshold) and the two-path integration reject the noise.
         ArcConfig {
-            half_window_days: 15,
-            min_half_days: 4,
-            glrt_threshold: 0.05,
-            peak_separation: 6,
-            valley_ratio: 0.5,
             rate_increase_threshold: 0.25,
-            rate_noise_factor: 4.0,
         }
     }
 }
@@ -140,7 +134,7 @@ impl ArcOutcome {
 
 /// Computes the ARC curve point at day index `k`, with the window halves
 /// clipped to the series edges. Returns `None` when the clipped half
-/// `w = min(D, k, n − k)` falls below `min_half_days` or the GLRT is
+/// `w = min(D, k, n − k)` falls below [`MIN_HALF_DAYS`] or the GLRT is
 /// undefined (both halves all-zero).
 ///
 /// The point is *final* once `k + min(D, k)` days are complete: every
@@ -148,15 +142,10 @@ impl ArcOutcome {
 /// are frozen (`min(D, k) ≤ n − k` already holds for such `k`, hence the
 /// edge clip no longer binds). The online path caches settled points on
 /// exactly this argument.
-pub(crate) fn curve_point(
-    counts: &[u32],
-    day0: Timestamp,
-    k: usize,
-    config: &ArcConfig,
-) -> Option<CurvePoint> {
+pub(crate) fn curve_point(counts: &[u32], day0: Timestamp, k: usize) -> Option<CurvePoint> {
     let n = counts.len();
-    let w = config.half_window_days.min(k).min(n - k);
-    if w < config.min_half_days {
+    let w = HALF_WINDOW_DAYS.min(k).min(n - k);
+    if w < MIN_HALF_DAYS {
         return None;
     }
     arrival_rate_glrt(&counts[k - w..k], &counts[k..k + w]).map(|stat| CurvePoint {
@@ -177,11 +166,10 @@ pub(crate) fn curve_point_from_prefix(
     prefix: &[u64],
     day0: Timestamp,
     k: usize,
-    config: &ArcConfig,
 ) -> Option<CurvePoint> {
     let n = prefix.len() - 1;
-    let w = config.half_window_days.min(k).min(n - k);
-    if w < config.min_half_days {
+    let w = HALF_WINDOW_DAYS.min(k).min(n - k);
+    if w < MIN_HALF_DAYS {
         return None;
     }
     let sum1 = (prefix[k] - prefix[k - w]) as f64;
@@ -204,20 +192,20 @@ pub fn detect_counts(
     config: &ArcConfig,
 ) -> ArcOutcome {
     let n = counts.len();
-    if n < 2 * config.min_half_days {
+    if n < 2 * MIN_HALF_DAYS {
         return ArcOutcome::empty(variant);
     }
 
     let signal_span = rrs_obs::trace::span("signal.arc");
     let mut points = Vec::with_capacity(n);
-    for k in config.min_half_days..=(n - config.min_half_days) {
-        if let Some(p) = curve_point(counts, day0, k, config) {
+    for k in MIN_HALF_DAYS..=(n - MIN_HALF_DAYS) {
+        if let Some(p) = curve_point(counts, day0, k) {
             points.push(p);
         }
     }
     let curve = Curve::new(points);
-    let peaks = curve.find_peaks(config.glrt_threshold, config.peak_separation);
-    let u_shapes = curve.u_shapes_between(&peaks, config.valley_ratio);
+    let peaks = curve.find_peaks(GLRT_THRESHOLD, PEAK_SEPARATION);
+    let u_shapes = curve.u_shapes_between(&peaks, VALLEY_RATIO);
     drop(signal_span);
     judge_counts(counts, day0, variant, config, curve, peaks, u_shapes)
 }
@@ -225,7 +213,6 @@ pub fn detect_counts(
 /// Segments the day axis at the peaks and judges each segment against
 /// the ratcheting baseline — shared verbatim by the batch and online
 /// paths so their verdicts are bit-identical.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn judge_counts(
     counts: &[u32],
     day0: Timestamp,
@@ -287,7 +274,7 @@ pub(crate) fn judge_counts(
                 && rate - base
                     > config
                         .rate_increase_threshold
-                        .max(config.rate_noise_factor * var.sqrt())
+                        .max(RATE_NOISE_FACTOR * var.sqrt())
         });
         let window = TimeWindow::ordered(
             Timestamp::saturating(day0.as_days() + day_range.start as f64),
@@ -325,10 +312,11 @@ pub(crate) fn judge_counts(
 /// Runs an ARC-family detector over one product's timeline.
 ///
 /// The value thresholds follow the paper: `threshold_a = 0.5·m` and
-/// `threshold_b = 0.5·m + 0.5` with `m` the mean rating value of the
-/// timeline (the paper computes `m` per window; the difference is
-/// negligible for streams whose fair mean is stable, and the stream-level
-/// mean is far more robust when an attack is in progress).
+/// `threshold_b = 0.5·m + 0.5` (see [`value_thresholds`]), with `m` the
+/// *median* rating value of the timeline. The paper computes `m` per
+/// window from the mean; the stream-level median holds its level while
+/// an attack is in progress, where the mean is dragged toward the unfair
+/// ratings.
 #[must_use]
 pub fn detect(
     timeline: TimelineView<'_>,
@@ -336,17 +324,11 @@ pub fn detect(
     variant: ArcVariant,
     config: &ArcConfig,
 ) -> ArcOutcome {
-    let m = robust_level(timeline);
+    let (threshold_a, threshold_b) = value_thresholds(timeline);
     let counts = match variant {
         ArcVariant::All => timeline.daily_counts(horizon),
-        ArcVariant::High => {
-            let threshold_a = 0.5 * m;
-            timeline.daily_counts_filtered(horizon, |v| v > threshold_a)
-        }
-        ArcVariant::Low => {
-            let threshold_b = 0.5 * m + 0.5;
-            timeline.daily_counts_filtered(horizon, |v| v < threshold_b)
-        }
+        ArcVariant::High => timeline.daily_counts_filtered(horizon, |v| v > threshold_a),
+        ArcVariant::Low => timeline.daily_counts_filtered(horizon, |v| v < threshold_b),
     };
     detect_counts(&counts, horizon.start(), variant, config)
 }
@@ -360,13 +342,19 @@ pub fn detect(
 /// holds its level while unfair ratings are a minority.
 #[must_use]
 pub fn value_thresholds(timeline: TimelineView<'_>) -> (f64, f64) {
-    let m = robust_level(timeline);
+    band_thresholds(robust_level(timeline))
+}
+
+/// The paper's band thresholds `(threshold_a, threshold_b)` =
+/// `(0.5·m, 0.5·m + 0.5)` for a central level `m`: every path that
+/// bands ratings derives them here, so the bands agree bit for bit.
+pub(crate) fn band_thresholds(m: f64) -> (f64, f64) {
     (0.5 * m, 0.5 * m + 0.5)
 }
 
 /// The robust central level `m` of a timeline's rating values.
 pub(crate) fn robust_level(timeline: TimelineView<'_>) -> f64 {
-    rrs_signal::stats::median(&timeline.values()).unwrap_or(2.5)
+    rrs_signal::stats::median(timeline.values()).unwrap_or(2.5)
 }
 
 #[cfg(test)]
@@ -529,10 +517,9 @@ mod tests {
             for (i, &c) in counts.iter().enumerate() {
                 prefix[i + 1] = prefix[i] + u64::from(c);
             }
-            let config = ArcConfig::default();
             for k in 0..=counts.len() {
-                let slow = curve_point(&counts, ts(0.0), k, &config);
-                let fast = curve_point_from_prefix(&prefix, ts(0.0), k, &config);
+                let slow = curve_point(&counts, ts(0.0), k);
+                let fast = curve_point_from_prefix(&prefix, ts(0.0), k);
                 match (slow, fast) {
                     (None, None) => {}
                     (Some(s), Some(f)) => {

@@ -16,33 +16,28 @@ use crate::suspicion::{SuspicionKind, SuspiciousInterval};
 use rrs_core::{TimeWindow, TimelineView, Timestamp};
 use rrs_signal::curve::{Curve, CurvePoint};
 
+/// Window length in ratings (paper: 40).
+pub(crate) const WINDOW_RATINGS: usize = 40;
+/// Step between window starts, in ratings.
+pub(crate) const STEP: usize = 5;
+/// Minimum value gap between the two clusters for the split to count as
+/// bimodality (rating units). A gap of 0.45 rating units separates a
+/// coordinated value cluster (e.g. a run of identical extreme ratings)
+/// from the continuum of noisy fair values.
+pub(crate) const MIN_CLUSTER_GAP: f64 = 0.45;
+
 /// Configuration of the HC detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HcConfig {
-    /// Window length in ratings (paper: 40).
-    pub window_ratings: usize,
-    /// Step between window starts, in ratings.
-    pub step: usize,
     /// HC ratio above which a window is suspicious.
     pub threshold: f64,
-    /// Minimum value gap between the two clusters for the split to count
-    /// as bimodality (rating units).
-    pub min_cluster_gap: f64,
 }
 
 impl Default for HcConfig {
     fn default() -> Self {
-        // A gap of 0.45 rating units separates a coordinated value
-        // cluster (e.g. a run of identical extreme ratings) from the
-        // continuum of noisy fair values; the ratio threshold of 0.25
-        // flags a minority mode of ~10 ratings against a 30-rating
-        // majority.
-        HcConfig {
-            window_ratings: 40,
-            step: 5,
-            threshold: 0.25,
-            min_cluster_gap: 0.45,
-        }
+        // The ratio threshold of 0.25 flags a minority mode of ~10
+        // ratings against a 30-rating majority.
+        HcConfig { threshold: 0.25 }
     }
 }
 
@@ -110,46 +105,35 @@ pub(crate) fn hc_ratio_sorted(sorted: &[f64], min_gap: f64) -> f64 {
 }
 
 /// Computes the HC curve point for the window starting at `start`
-/// (requires `start + window_ratings ≤ values.len()`).
+/// (requires `start + WINDOW_RATINGS ≤ values.len()`).
 ///
-/// The point only reads the frozen prefix `values[start..start + w]` and
-/// `times[center]`, so it is final as soon as the window fits — the
-/// online path appends each new window's point exactly once.
-pub(crate) fn window_point(
-    values: &[f64],
-    times: &[f64],
-    start: usize,
-    config: &HcConfig,
-) -> CurvePoint {
-    let center = start + config.window_ratings / 2;
+/// The point only reads the frozen prefix
+/// `values[start..start + WINDOW_RATINGS]` and `times[center]`, so it is
+/// final as soon as the window fits — the online path appends each new
+/// window's point exactly once.
+fn window_point(values: &[f64], times: &[f64], start: usize) -> CurvePoint {
+    let center = start + WINDOW_RATINGS / 2;
     CurvePoint {
         index: center,
         time: times[center],
-        value: hc_ratio(
-            &values[start..start + config.window_ratings],
-            config.min_cluster_gap,
-        ),
+        value: hc_ratio(&values[start..start + WINDOW_RATINGS], MIN_CLUSTER_GAP),
     }
 }
 
 /// [`window_point`] from an already-sorted copy of the window's values.
 ///
-/// `sorted` must hold exactly the multiset `values[start..start + w]` in
-/// `total_cmp` order; the result is then bit-identical to
-/// [`window_point`], which sorts the same multiset before the gap scan.
+/// `sorted` must hold exactly the multiset
+/// `values[start..start + WINDOW_RATINGS]` in `total_cmp` order; the
+/// result is then bit-identical to [`window_point`], which sorts the same
+/// multiset before the gap scan.
 /// The online path maintains `sorted` as a sliding multiset so each
 /// window costs O(w) insert/remove instead of an O(w log w) sort.
-pub(crate) fn window_point_presorted(
-    sorted: &[f64],
-    times: &[f64],
-    start: usize,
-    config: &HcConfig,
-) -> CurvePoint {
-    let center = start + config.window_ratings / 2;
+pub(crate) fn window_point_presorted(sorted: &[f64], times: &[f64], start: usize) -> CurvePoint {
+    let center = start + WINDOW_RATINGS / 2;
     CurvePoint {
         index: center,
         time: times[center],
-        value: hc_ratio_sorted(sorted, config.min_cluster_gap),
+        value: hc_ratio_sorted(sorted, MIN_CLUSTER_GAP),
     }
 }
 
@@ -161,7 +145,6 @@ pub(crate) fn suspicious_runs(
     times: &[f64],
     config: &HcConfig,
 ) -> Vec<SuspiciousInterval> {
-    let w = config.window_ratings;
     let mut suspicious = Vec::new();
     let pts = curve.points();
     let mut run_start: Option<usize> = None;
@@ -170,21 +153,14 @@ pub(crate) fn suspicious_runs(
         match (above, run_start) {
             (true, None) => run_start = Some(i),
             (false, Some(s)) => {
-                suspicious.push(run_interval(pts, s, i - 1, times, w, config.threshold));
+                suspicious.push(run_interval(pts, s, i - 1, times));
                 run_start = None;
             }
             _ => {}
         }
     }
     if let Some(s) = run_start {
-        suspicious.push(run_interval(
-            pts,
-            s,
-            pts.len() - 1,
-            times,
-            w,
-            config.threshold,
-        ));
+        suspicious.push(run_interval(pts, s, pts.len() - 1, times));
     }
     suspicious
 }
@@ -193,21 +169,19 @@ pub(crate) fn suspicious_runs(
 #[must_use]
 pub fn detect(timeline: TimelineView<'_>, config: &HcConfig) -> HcOutcome {
     let n = timeline.len();
-    let w = config.window_ratings;
-    if n < w || w == 0 {
+    if n < WINDOW_RATINGS {
         return HcOutcome::default();
     }
     // Contiguous column walks on the columnar engine.
-    let values: Vec<f64> = timeline.values();
+    let values = timeline.values();
     let times: Vec<f64> = timeline.times().iter().map(|t| t.as_days()).collect();
 
     let signal_span = rrs_obs::trace::span("signal.hc");
-    let step = config.step.max(1);
     let mut points = Vec::new();
     let mut start = 0usize;
-    while start + w <= n {
-        points.push(window_point(&values, &times, start, config));
-        start += step;
+    while start + WINDOW_RATINGS <= n {
+        points.push(window_point(values, &times, start));
+        start += STEP;
     }
     let curve = Curve::new(points);
     drop(signal_span);
@@ -222,12 +196,10 @@ fn run_interval(
     first: usize,
     last: usize,
     times: &[f64],
-    window: usize,
-    _threshold: f64,
 ) -> SuspiciousInterval {
     let n = times.len();
-    let start_idx = pts[first].index.saturating_sub(window / 2);
-    let end_idx = (pts[last].index + window / 2).min(n - 1);
+    let start_idx = pts[first].index.saturating_sub(WINDOW_RATINGS / 2);
+    let end_idx = (pts[last].index + WINDOW_RATINGS / 2).min(n - 1);
     let strength = pts[first..=last]
         .iter()
         .map(|p| p.value)

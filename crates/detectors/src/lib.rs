@@ -38,7 +38,7 @@ pub mod online;
 mod suspicion;
 
 pub use arc::{ArcConfig, ArcOutcome, ArcVariant};
-pub use config::{AblatedDetector, DetectorConfig, EnabledDetectors};
+pub use config::{AblatedDetector, DetectorConfig};
 pub use hc::{HcConfig, HcOutcome};
 pub use integrate::{Band, DetectionResult, DetectorVerdictSummary, JointDetector, PathHit};
 pub use mc::{McConfig, McOutcome};

@@ -14,45 +14,37 @@ use rrs_core::{RaterId, TimeWindow, TimelineView, Timestamp};
 use rrs_signal::curve::{Curve, CurvePoint, Peak, UShape};
 use std::ops::Range;
 
+/// Half-width of the sliding window in days (paper: 30-day window,
+/// i.e. 15 days per half).
+pub(crate) const HALF_WINDOW_DAYS: f64 = 15.0;
+/// Minimum ratings required in each half for a test to run.
+pub(crate) const MIN_HALF_RATINGS: usize = 4;
+/// Minimum curve-sample separation between retained peaks.
+pub(crate) const PEAK_SEPARATION: usize = 8;
+/// Valley-to-peak ratio below which two peaks frame a U-shape.
+pub(crate) const VALLEY_RATIO: f64 = 0.5;
+/// `threshold1`: a segment mean deviating this much from the overall
+/// mean is suspicious outright (rating units).
+pub(crate) const THRESHOLD1: f64 = 0.8;
+/// `threshold2 < threshold1`: a moderate deviation is suspicious when
+/// the segment's raters are comparatively untrusted.
+pub(crate) const THRESHOLD2: f64 = 0.35;
+/// A segment is "less trustworthy" when its average rater trust over
+/// the stream average falls below this ratio.
+pub(crate) const TRUST_RATIO: f64 = 0.95;
+
 /// Configuration of the MC detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McConfig {
-    /// Half-width of the sliding window in days (paper: 30-day window,
-    /// i.e. 15 days per half).
-    pub half_window_days: f64,
-    /// Minimum ratings required in each half for a test to run.
-    pub min_half_ratings: usize,
     /// GLRT decision factor γ: the peak threshold is `γ · 2σ̂²` where σ̂²
     /// is the stream's value variance, so peaks correspond to
     /// `2 ln L_G(x) > γ` (paper Eq. 1).
     pub glrt_gamma: f64,
-    /// Minimum curve-sample separation between retained peaks.
-    pub peak_separation: usize,
-    /// Valley-to-peak ratio below which two peaks frame a U-shape.
-    pub valley_ratio: f64,
-    /// `threshold1`: a segment mean deviating this much from the overall
-    /// mean is suspicious outright (rating units).
-    pub threshold1: f64,
-    /// `threshold2 < threshold1`: a moderate deviation is suspicious when
-    /// the segment's raters are comparatively untrusted.
-    pub threshold2: f64,
-    /// A segment is "less trustworthy" when its average rater trust over
-    /// the stream average falls below this ratio.
-    pub trust_ratio: f64,
 }
 
 impl Default for McConfig {
     fn default() -> Self {
-        McConfig {
-            half_window_days: 15.0,
-            min_half_ratings: 4,
-            glrt_gamma: 8.0,
-            peak_separation: 8,
-            valley_ratio: 0.5,
-            threshold1: 0.8,
-            threshold2: 0.35,
-            trust_ratio: 0.95,
-        }
+        McConfig { glrt_gamma: 8.0 }
     }
 }
 
@@ -98,22 +90,17 @@ impl McOutcome {
 
 /// Computes the MC indicator point at rating `k`: `X₁` spans the ratings
 /// in `[t_k − h, t_k)` and `X₂` spans `[t_k, t_k + h)`. Returns `None`
-/// when either half holds fewer than `min_half_ratings` ratings.
+/// when either half holds fewer than [`MIN_HALF_RATINGS`] ratings.
 ///
 /// The point is *final* once the horizon has passed `t_k + h`: every
 /// later arrival carries a time at or beyond the horizon end, so both
 /// `partition_point` results and the prefix-sum differences are frozen.
 /// The online path caches settled points on exactly this argument.
-pub(crate) fn indicator_point(
-    times: &[f64],
-    prefix: &[f64],
-    k: usize,
-    config: &McConfig,
-) -> Option<CurvePoint> {
+pub(crate) fn indicator_point(times: &[f64], prefix: &[f64], k: usize) -> Option<CurvePoint> {
     let t = times[k];
-    let lo = times.partition_point(|&x| x < t - config.half_window_days);
-    let hi = times.partition_point(|&x| x < t + config.half_window_days);
-    indicator_point_with_bounds(times, prefix, k, lo, hi, config)
+    let lo = times.partition_point(|&x| x < t - HALF_WINDOW_DAYS);
+    let hi = times.partition_point(|&x| x < t + HALF_WINDOW_DAYS);
+    indicator_point_with_bounds(times, prefix, k, lo, hi)
 }
 
 /// [`indicator_point`] with the window bounds already resolved: `lo` and
@@ -127,16 +114,11 @@ pub(crate) fn indicator_point_with_bounds(
     k: usize,
     lo: usize,
     hi: usize,
-    config: &McConfig,
 ) -> Option<CurvePoint> {
     let t = times[k];
     let left = lo..k;
     let right = k..hi;
-    if left.len() < config.min_half_ratings
-        || right.len() < config.min_half_ratings
-        || left.is_empty()
-        || right.is_empty()
-    {
+    if left.len() < MIN_HALF_RATINGS || right.len() < MIN_HALF_RATINGS {
         return None;
     }
     let a1 = (prefix[left.end] - prefix[left.start]) / left.len() as f64;
@@ -185,11 +167,11 @@ pub(crate) fn detect_with_trust(
     trust: &[f64],
 ) -> McOutcome {
     let n = timeline.len();
-    if n < 2 * config.min_half_ratings {
+    if n < 2 * MIN_HALF_RATINGS {
         return McOutcome::default();
     }
     // Contiguous column walks on the columnar engine.
-    let values: Vec<f64> = timeline.values();
+    let values = timeline.values();
     let times: Vec<f64> = timeline.times().iter().map(|t| t.as_days()).collect();
 
     // Prefix sums make every windowed mean O(1).
@@ -203,31 +185,20 @@ pub(crate) fn detect_with_trust(
     let signal_span = rrs_obs::trace::span("signal.mc");
     let mut points = Vec::with_capacity(n);
     for k in 0..n {
-        if let Some(p) = indicator_point(&times, &prefix, k, config) {
+        if let Some(p) = indicator_point(&times, &prefix, k) {
             points.push(p);
         }
     }
     let curve = Curve::new(points);
 
-    let sigma2 = rrs_signal::stats::variance(&values)
-        .unwrap_or(0.0)
-        .max(1e-6);
+    let sigma2 = rrs_signal::stats::variance(values).unwrap_or(0.0).max(1e-6);
     let peak_threshold = config.glrt_gamma * 2.0 * sigma2;
-    let peaks = curve.find_peaks(peak_threshold, config.peak_separation);
-    let u_shapes = curve.u_shapes_between(&peaks, config.valley_ratio);
+    let peaks = curve.find_peaks(peak_threshold, PEAK_SEPARATION);
+    let u_shapes = curve.u_shapes_between(&peaks, VALLEY_RATIO);
     drop(signal_span);
 
-    let overall_mean = rrs_signal::stats::median(&values).expect("n > 0");
-    judge_segments(
-        &times,
-        &prefix,
-        curve,
-        peaks,
-        u_shapes,
-        overall_mean,
-        config,
-        trust,
-    )
+    let overall_mean = rrs_signal::stats::median(values).expect("n > 0");
+    judge_segments(&times, &prefix, curve, peaks, u_shapes, overall_mean, trust)
 }
 
 /// Segments the stream at the peaks and judges each segment — shared
@@ -235,7 +206,6 @@ pub(crate) fn detect_with_trust(
 /// bit-identical. `overall_mean` is the stream's reference level (the
 /// *median* rating value; see the comment inside on why not the mean).
 /// `trust[i]` is the trust of the stream's `i`-th rater.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn judge_segments(
     times: &[f64],
     prefix: &[f64],
@@ -243,7 +213,6 @@ pub(crate) fn judge_segments(
     peaks: Vec<Peak>,
     u_shapes: Vec<UShape>,
     overall_mean: f64,
-    config: &McConfig,
     trust: &[f64],
 ) -> McOutcome {
     let _detect_span = rrs_obs::trace::span("detect.mc");
@@ -273,9 +242,8 @@ pub(crate) fn judge_segments(
         let mean_deviation = (mean - overall_mean).abs();
         let avg_trust: f64 =
             trust[index_range.clone()].iter().sum::<f64>() / index_range.len() as f64;
-        let less_trusted = overall_trust > 0.0 && avg_trust / overall_trust < config.trust_ratio;
-        let flagged = mean_deviation > config.threshold1
-            || (mean_deviation > config.threshold2 && less_trusted);
+        let less_trusted = overall_trust > 0.0 && avg_trust / overall_trust < TRUST_RATIO;
+        let flagged = mean_deviation > THRESHOLD1 || (mean_deviation > THRESHOLD2 && less_trusted);
         let start = Timestamp::saturating(times[index_range.start]);
         let end = if index_range.end < n {
             Timestamp::saturating(times[index_range.end])
@@ -432,15 +400,11 @@ mod tests {
 
     #[test]
     fn moderate_attack_flagged_only_with_low_trust() {
-        // A moderate shift that stays under threshold1.
+        // A moderate shift: the attacked segments deviate from the
+        // median by more than THRESHOLD2 but less than THRESHOLD1.
         let d = fair_timeline(90, 4, 4);
-        let d = with_attack(d, 40.0, 55.0, 4, 3.2);
-        let cfg = McConfig {
-            threshold1: 10.0, // disable the unconditional rule
-            threshold2: 0.15,
-            glrt_gamma: 4.0,
-            ..McConfig::default()
-        };
+        let d = with_attack(d, 40.0, 55.0, 4, 2.6);
+        let cfg = McConfig::default();
         // With neutral trust everywhere, nothing can satisfy the
         // trust-ratio condition.
         let neutral = detect(timeline(&d), &cfg, |_| 0.5);
@@ -455,6 +419,13 @@ mod tests {
             }
         });
         assert!(informed.is_suspicious(), "trust-assisted rule never fired");
+        for segment in informed.segments.iter().filter(|s| s.flagged) {
+            assert!(
+                segment.mean_deviation > THRESHOLD2 && segment.mean_deviation < THRESHOLD1,
+                "deviation {} is not moderate",
+                segment.mean_deviation
+            );
+        }
     }
 
     #[test]

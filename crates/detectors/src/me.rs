@@ -13,15 +13,16 @@ use rrs_core::{TimeWindow, TimelineView, Timestamp};
 use rrs_signal::ar::fit_ar;
 use rrs_signal::curve::{Curve, CurvePoint};
 
+/// Window length in ratings (paper: 40).
+pub(crate) const WINDOW_RATINGS: usize = 40;
+/// Step between window starts, in ratings.
+pub(crate) const STEP: usize = 5;
+/// AR model order.
+pub(crate) const ORDER: usize = 4;
+
 /// Configuration of the ME detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeConfig {
-    /// Window length in ratings (paper: 40).
-    pub window_ratings: usize,
-    /// Step between window starts, in ratings.
-    pub step: usize,
-    /// AR model order.
-    pub order: usize,
     /// Windows with normalized model error at or below this are
     /// suspicious.
     pub threshold: f64,
@@ -29,12 +30,7 @@ pub struct MeConfig {
 
 impl Default for MeConfig {
     fn default() -> Self {
-        MeConfig {
-            window_ratings: 40,
-            step: 5,
-            order: 4,
-            threshold: 0.55,
-        }
+        MeConfig { threshold: 0.55 }
     }
 }
 
@@ -57,19 +53,15 @@ impl MeOutcome {
 
 /// Computes the ME curve point for the window starting at `start`, or
 /// `None` when the AR fit fails (requires
-/// `start + window_ratings ≤ values.len()`).
+/// `start + WINDOW_RATINGS ≤ values.len()`).
 ///
-/// The point only reads the frozen prefix `values[start..start + w]` and
-/// `times[center]`, so it is final as soon as the window fits — the
-/// online path appends each new window's point exactly once.
-pub(crate) fn window_point(
-    values: &[f64],
-    times: &[f64],
-    start: usize,
-    config: &MeConfig,
-) -> Option<CurvePoint> {
-    let center = start + config.window_ratings / 2;
-    fit_ar(&values[start..start + config.window_ratings], config.order)
+/// The point only reads the frozen prefix
+/// `values[start..start + WINDOW_RATINGS]` and `times[center]`, so it is
+/// final as soon as the window fits — the online path appends each new
+/// window's point exactly once.
+pub(crate) fn window_point(values: &[f64], times: &[f64], start: usize) -> Option<CurvePoint> {
+    let center = start + WINDOW_RATINGS / 2;
+    fit_ar(&values[start..start + WINDOW_RATINGS], ORDER)
         .ok()
         .map(|model| CurvePoint {
             index: center,
@@ -86,7 +78,6 @@ pub(crate) fn suspicious_runs(
     times: &[f64],
     config: &MeConfig,
 ) -> Vec<SuspiciousInterval> {
-    let w = config.window_ratings;
     let mut suspicious = Vec::new();
     let pts = curve.points();
     let mut run_start: Option<usize> = None;
@@ -95,14 +86,14 @@ pub(crate) fn suspicious_runs(
         match (below, run_start) {
             (true, None) => run_start = Some(i),
             (false, Some(s)) => {
-                suspicious.push(run_interval(pts, s, i - 1, times, w));
+                suspicious.push(run_interval(pts, s, i - 1, times));
                 run_start = None;
             }
             _ => {}
         }
     }
     if let Some(s) = run_start {
-        suspicious.push(run_interval(pts, s, pts.len() - 1, times, w));
+        suspicious.push(run_interval(pts, s, pts.len() - 1, times));
     }
     suspicious
 }
@@ -111,23 +102,21 @@ pub(crate) fn suspicious_runs(
 #[must_use]
 pub fn detect(timeline: TimelineView<'_>, config: &MeConfig) -> MeOutcome {
     let n = timeline.len();
-    let w = config.window_ratings;
-    if n < w || w == 0 || config.order == 0 {
+    if n < WINDOW_RATINGS {
         return MeOutcome::default();
     }
     // Contiguous column walks on the columnar engine.
-    let values: Vec<f64> = timeline.values();
+    let values = timeline.values();
     let times: Vec<f64> = timeline.times().iter().map(|t| t.as_days()).collect();
 
     let signal_span = rrs_obs::trace::span("signal.me");
-    let step = config.step.max(1);
     let mut points = Vec::new();
     let mut start = 0usize;
-    while start + w <= n {
-        if let Some(p) = window_point(&values, &times, start, config) {
+    while start + WINDOW_RATINGS <= n {
+        if let Some(p) = window_point(values, &times, start) {
             points.push(p);
         }
-        start += step;
+        start += STEP;
     }
     let curve = Curve::new(points);
     drop(signal_span);
@@ -142,11 +131,10 @@ fn run_interval(
     first: usize,
     last: usize,
     times: &[f64],
-    window: usize,
 ) -> SuspiciousInterval {
     let n = times.len();
-    let start_idx = pts[first].index.saturating_sub(window / 2);
-    let end_idx = (pts[last].index + window / 2).min(n - 1);
+    let start_idx = pts[first].index.saturating_sub(WINDOW_RATINGS / 2);
+    let end_idx = (pts[last].index + WINDOW_RATINGS / 2).min(n - 1);
     // Strength: how far below threshold the error dropped (lower error =
     // stronger signal), reported as 1 − min error.
     let strength = 1.0
@@ -238,16 +226,5 @@ mod tests {
         let out = detect(d.product(ProductId::new(0)).unwrap(), &MeConfig::default());
         assert!(out.curve.is_empty());
         assert!(!out.is_suspicious());
-    }
-
-    #[test]
-    fn zero_order_is_silent() {
-        let d = dataset((0..100).map(|i| (f64::from(i), 4.0)));
-        let cfg = MeConfig {
-            order: 0,
-            ..MeConfig::default()
-        };
-        let out = detect(d.product(ProductId::new(0)).unwrap(), &cfg);
-        assert!(out.curve.is_empty());
     }
 }

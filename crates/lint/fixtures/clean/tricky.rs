@@ -51,3 +51,6 @@ mod tests {
         panic!("tests may panic");
     }
 }
+
+// A `METRIC_*` constant that is not a `&str` names no metric.
+const METRIC_CALLS: &[&str] = &["counter_add", "gauge_set"];

@@ -634,10 +634,17 @@ fn inline_metric_call(scrubbed: &str, raw: &str) -> Option<&'static str> {
 }
 
 /// Validates a `const METRIC_*: &str = "...";` declaration, returning
-/// the literal when it is not a dotted snake_case metric name.
+/// the literal when it is not a dotted snake_case metric name. Only a
+/// constant of type `&str` or `&'static str` names a metric; one of any
+/// other type (a list of call names, say) is out of scope.
 fn invalid_metric_const(scrubbed: &str, raw: &str) -> Option<String> {
     let after_const = scrubbed.find("const ").map(|p| &scrubbed[p + 6..])?;
-    if !after_const.trim_start().starts_with("METRIC") {
+    let (name, rest) = after_const.split_once(':')?;
+    if !name.trim_start().starts_with("METRIC") {
+        return None;
+    }
+    let ty = squeeze(rest.split_once('=')?.0);
+    if ty != "&str" && ty != "&'staticstr" {
         return None;
     }
     let open = raw.find('"')?;
@@ -880,6 +887,16 @@ mod tests {
         }
         // Constants without the METRIC_ prefix are out of scope.
         let s = scan("const LABEL: &str = \"Whatever Goes\";");
+        assert!(s.findings.is_empty(), "{:?}", s.findings);
+        // So are METRIC_ constants that are not strings.
+        let s = scan("const METRIC_CALLS: &[&str] = &[\"counter_add\", \"gauge_set\"];");
+        assert!(s.findings.is_empty(), "{:?}", s.findings);
+        let s = scan("pub const METRIC_LIMIT: usize = 3;");
+        assert!(s.findings.is_empty(), "{:?}", s.findings);
+        // A `&'static str` constant is a metric name like a `&str` one.
+        let s = scan("const METRIC_BAD: &'static str = \"Flat\";");
+        assert_eq!(rules(&s), vec![RULE_METRIC_NAME]);
+        let s = scan("const METRIC_OK: &'static str = \"stage.detail\";");
         assert!(s.findings.is_empty(), "{:?}", s.findings);
     }
 

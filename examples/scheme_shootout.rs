@@ -25,8 +25,8 @@ fn main() {
         .values();
     println!(
         "fair ratings white-noise check (Ljung-Box, 10 lags): Q = {:.1}, looks white: {}\n",
-        autocorr::ljung_box(&fair_values, 10).unwrap_or(0.0),
-        autocorr::looks_white(&fair_values, 10),
+        autocorr::ljung_box(fair_values, 10).unwrap_or(0.0),
+        autocorr::looks_white(fair_values, 10),
     );
 
     let p = PScheme::new();
