@@ -210,14 +210,7 @@ impl PSchemeState {
             rrs_obs::metrics::observe_quantile(METRIC_EPOCH_SUSPICIOUS, update.suspicious as f64);
         }
         if rrs_obs::tracing() {
-            record_decisions(
-                &prefix,
-                period,
-                &per_product,
-                &marks,
-                &update,
-                &self.config.detectors,
-            );
+            record_decisions(&prefix, period, &per_product, &marks, &update);
         }
         self.marks = marks;
         update
@@ -277,7 +270,6 @@ fn record_decisions(
     per_product: &[(ProductId, DetectionResult)],
     marks: &BTreeSet<RatingId>,
     update: &TrustUpdate,
-    config: &DetectorConfig,
 ) {
     for (pid, result) in per_product {
         let Some(timeline) = prefix.product(*pid) else {
@@ -306,7 +298,7 @@ fn record_decisions(
             })
             .collect();
         let detectors = result
-            .verdict_summaries(config)
+            .verdict_summaries()
             .into_iter()
             .map(|v| rrs_obs::decision::DetectorVerdict {
                 name: v.name,
@@ -579,15 +571,15 @@ mod tests {
             if burst_days > 0 {
                 add_burst(&mut d, burst_start, burst_days, 4, burst_value);
             }
-            let detectors = match ablated {
-                0 => DetectorConfig::paper(),
-                1 => DetectorConfig::paper().without(AblatedDetector::MeanChange),
-                2 => DetectorConfig::paper().without(AblatedDetector::ArrivalRate),
-                3 => DetectorConfig::paper().without(AblatedDetector::Histogram),
-                _ => DetectorConfig::paper().without(AblatedDetector::ModelError),
-            };
+            let ablated = [
+                None,
+                Some(AblatedDetector::MeanChange),
+                Some(AblatedDetector::ArrivalRate),
+                Some(AblatedDetector::Histogram),
+                Some(AblatedDetector::ModelError),
+            ][ablated];
             let scheme = PScheme::with_config(PSchemeConfig {
-                detectors,
+                detectors: DetectorConfig { ablated },
                 trust_discount: [None, Some(0.8)][discount],
                 ..PSchemeConfig::paper()
             });

@@ -104,10 +104,7 @@ pub fn run(workbench: &Workbench) -> ExperimentReport {
     // the independent variants out across workers.
     let strongest = strongest_submissions(workbench, sample);
     let rows: Vec<AblationRow> = rrs_core::par::par_map(&variants, |_, (name, ablated)| {
-        let mut config = DetectorConfig::paper();
-        if let Some(d) = ablated {
-            config = config.without(*d);
-        }
+        let config = DetectorConfig { ablated: *ablated };
         evaluate_variant(workbench, config, name, &strongest)
     });
 

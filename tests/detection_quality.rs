@@ -54,7 +54,9 @@ fn each_single_ablation_degrades_or_preserves_but_never_panics() {
         AblatedDetector::Histogram,
         AblatedDetector::ModelError,
     ] {
-        let config = DetectorConfig::paper().without(ablated);
+        let config = DetectorConfig {
+            ablated: Some(ablated),
+        };
         let (marks, _) =
             JointDetector::new(config).detect_all(&attacked, challenge.horizon(), |_| 0.5);
         let recall = truth.score(&marks).recall();
@@ -68,7 +70,9 @@ fn each_single_ablation_degrades_or_preserves_but_never_panics() {
 #[test]
 fn arrival_rate_ablation_silences_the_pipeline() {
     let (challenge, attacked) = attacked_fixture(23);
-    let config = DetectorConfig::paper().without(AblatedDetector::ArrivalRate);
+    let config = DetectorConfig {
+        ablated: Some(AblatedDetector::ArrivalRate),
+    };
     let (marks, _) = JointDetector::new(config).detect_all(&attacked, challenge.horizon(), |_| 0.5);
     // Both marking paths require ARC band evidence.
     assert!(marks.is_empty());
