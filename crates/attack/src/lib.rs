@@ -17,19 +17,18 @@
 //! * [`generator`] — the composed [`AttackGenerator`].
 //! * [`search`] — Procedure 2: the heuristic search that zooms in on the
 //!   strongest region of the variance–bias plane against a given defense.
+//!   [`search::optimize`] is the generator with its learning loop closed:
+//!   it generates each probe attack and feeds its measured effect, from a
+//!   caller-supplied oracle, back into the search.
 //! * [`strategies`] — a library of parameterized attack strategies
 //!   spanning the behaviors observed in the challenge, from naive extremes
 //!   to variance camouflage.
 //! * [`population`] — a synthetic population of challenge submissions
 //!   (substituting for the paper's 251 human submissions; see DESIGN.md).
-//! * [`adaptive`] — the generator with its learning loop closed: the
-//!   Procedure-2 search driving calibrated attack generation against a
-//!   caller-supplied effect oracle.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod generator;
 pub mod mapper;
 pub mod population;
@@ -39,13 +38,12 @@ pub mod time_gen;
 mod types;
 pub mod value_gen;
 
-pub use adaptive::{AdaptiveAttacker, AdaptiveConfig, AdaptiveOutcome};
 pub use generator::{AttackConfig, AttackGenerator};
 pub use mapper::MappingStrategy;
 pub use population::{
     generate_population, submission_stats, PopulationConfig, SubmissionSpec, SubmissionStats,
 };
-pub use search::{RegionSearch, SearchConfig, SearchOutcome, SearchSpace};
+pub use search::{SearchOutcome, SearchSpace};
 pub use strategies::AttackStrategy;
 pub use time_gen::ArrivalModel;
 pub use types::{AttackContext, AttackSequence, Direction, FairView};

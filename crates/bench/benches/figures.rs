@@ -16,7 +16,7 @@
 //! Emits `BENCH_figures.json` (see `rrs_bench::harness`).
 
 use rrs_aggregation::{BfScheme, PScheme, SaScheme};
-use rrs_attack::{RegionSearch, SearchConfig, SearchSpace};
+use rrs_attack::search::optimize;
 use rrs_bench::{bench_workbench, Harness};
 use rrs_challenge::ScoringSession;
 use rrs_core::AggregationScheme;
@@ -49,20 +49,11 @@ fn main() {
     {
         let scheme = PScheme::new();
         let session = ScoringSession::new(&workbench.challenge, &scheme);
-        let config = SearchConfig {
-            trials: 2,
-            max_rounds: 2,
-            ..SearchConfig::default()
-        };
         h.bench("fig5_region_search", || {
-            let outcome = RegionSearch::with_config(config).run(
-                SearchSpace::paper_downgrade(),
-                |bias, std, trial| {
-                    let seq = fig5::probe_attack(&workbench, bias, std, trial);
-                    fig5::downgrade_mp(&workbench, &session.score(&seq))
-                },
-            );
-            outcome.best_mp
+            optimize(&workbench.attack_ctx, workbench.config.seed, |seq| {
+                fig5::downgrade_mp(&workbench, &session.score(seq))
+            })
+            .best_mp
         });
     }
 

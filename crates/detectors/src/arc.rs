@@ -312,11 +312,10 @@ pub(crate) fn judge_counts(
 /// Runs an ARC-family detector over one product's timeline.
 ///
 /// The value thresholds follow the paper: `threshold_a = 0.5·m` and
-/// `threshold_b = 0.5·m + 0.5` (see [`value_thresholds`]), with `m` the
-/// *median* rating value of the timeline. The paper computes `m` per
-/// window from the mean; the stream-level median holds its level while
-/// an attack is in progress, where the mean is dragged toward the unfair
-/// ratings.
+/// `threshold_b = 0.5·m + 0.5`, with `m` the *median* rating value of
+/// the timeline. The paper computes `m` per window from the mean; the
+/// stream-level median holds its level while an attack is in progress,
+/// where the mean is dragged toward the unfair ratings.
 #[must_use]
 pub fn detect(
     timeline: TimelineView<'_>,
@@ -324,25 +323,26 @@ pub fn detect(
     variant: ArcVariant,
     config: &ArcConfig,
 ) -> ArcOutcome {
-    let (threshold_a, threshold_b) = value_thresholds(timeline);
+    detect_at_level(timeline, horizon, variant, config, robust_level(timeline))
+}
+
+/// [`detect`] at a central level `m` the caller has already taken with
+/// [`robust_level`], so joint detection sorts the values once for both
+/// bands and its own use of `m`.
+pub(crate) fn detect_at_level(
+    timeline: TimelineView<'_>,
+    horizon: TimeWindow,
+    variant: ArcVariant,
+    config: &ArcConfig,
+    m: f64,
+) -> ArcOutcome {
+    let (threshold_a, threshold_b) = band_thresholds(m);
     let counts = match variant {
         ArcVariant::All => timeline.daily_counts(horizon),
         ArcVariant::High => timeline.daily_counts_filtered(horizon, |v| v > threshold_a),
         ArcVariant::Low => timeline.daily_counts_filtered(horizon, |v| v < threshold_b),
     };
     detect_counts(&counts, horizon.start(), variant, config)
-}
-
-/// Returns the paper's value thresholds `(threshold_a, threshold_b)` for a
-/// timeline: `0.5·m` and `0.5·m + 0.5`.
-///
-/// `m` is the *median* rating value rather than the paper's mean: the
-/// mean of an attacked stream is dragged toward the unfair ratings, which
-/// would shift the band thresholds in the attacker's favor; the median
-/// holds its level while unfair ratings are a minority.
-#[must_use]
-pub fn value_thresholds(timeline: TimelineView<'_>) -> (f64, f64) {
-    band_thresholds(robust_level(timeline))
 }
 
 /// The paper's band thresholds `(threshold_a, threshold_b)` =
@@ -353,6 +353,11 @@ pub(crate) fn band_thresholds(m: f64) -> (f64, f64) {
 }
 
 /// The robust central level `m` of a timeline's rating values.
+///
+/// `m` is the *median* rating value rather than the paper's mean: the
+/// mean of an attacked stream is dragged toward the unfair ratings, which
+/// would shift the band thresholds in the attacker's favor; the median
+/// holds its level while unfair ratings are a minority.
 pub(crate) fn robust_level(timeline: TimelineView<'_>) -> f64 {
     rrs_signal::stats::median(timeline.values()).unwrap_or(2.5)
 }
@@ -550,7 +555,7 @@ mod tests {
             RatingSource::Fair,
         );
         let tl = d.product(ProductId::new(0)).unwrap();
-        let (a, b) = value_thresholds(tl);
+        let (a, b) = band_thresholds(robust_level(tl));
         assert_eq!(a, 2.0);
         assert_eq!(b, 2.5);
     }

@@ -218,11 +218,11 @@ impl JointDetector {
         } else {
             McOutcome::default()
         };
+        let stream_median = arc::robust_level(timeline);
         let (harc_out, larc_out) = if config.runs(AblatedDetector::ArrivalRate) {
-            (
-                arc::detect(timeline, horizon, ArcVariant::High, &ArcConfig::default()),
-                arc::detect(timeline, horizon, ArcVariant::Low, &ArcConfig::default()),
-            )
+            let arc_config = ArcConfig::default();
+            let band = |v| arc::detect_at_level(timeline, horizon, v, &arc_config, stream_median);
+            (band(ArcVariant::High), band(ArcVariant::Low))
         } else {
             (
                 ArcOutcome::empty(ArcVariant::High),
@@ -240,7 +240,6 @@ impl JointDetector {
             MeOutcome::default()
         };
 
-        let stream_median = arc::robust_level(timeline);
         integrate_outcomes(
             timeline,
             mc_out,

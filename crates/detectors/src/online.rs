@@ -1325,7 +1325,7 @@ mod tests {
             let window = TimeWindow::new(ts(0.0), ts(end)).unwrap();
             let prefix = d.prefix_view(window);
             let timeline = prefix.product(ProductId::new(0)).unwrap();
-            crate::arc::value_thresholds(timeline)
+            arc::band_thresholds(arc::robust_level(timeline))
         };
         assert_ne!(thresholds(60.0), thresholds(75.0), "median did not move");
         for &end in &[75.0, 90.0] {
@@ -1383,8 +1383,8 @@ mod tests {
             let Some(now) = current.product(pid) else {
                 continue;
             };
-            let (old_a, old_b) = crate::arc::value_thresholds(timeline);
-            let (new_a, new_b) = crate::arc::value_thresholds(now);
+            let (old_a, old_b) = arc::band_thresholds(arc::robust_level(timeline));
+            let (new_a, new_b) = arc::band_thresholds(arc::robust_level(now));
             for &v in timeline.values() {
                 changed += usize::from((v > old_a) != (v > new_a));
                 changed += usize::from((v < old_b) != (v < new_b));

@@ -9,11 +9,11 @@
 //! targets only, compared head-to-head against the mirrored downgrade
 //! sweep.
 
-use crate::fig5::probe_attack;
 use crate::report::{ExperimentReport, Table};
 use crate::suite::Workbench;
 use rrs_aggregation::PScheme;
 use rrs_attack::generator::{AttackConfig, AttackGenerator};
+use rrs_attack::search::probe;
 use rrs_attack::{ArrivalModel, AttackSequence, MappingStrategy};
 use rrs_challenge::ScoringSession;
 use rrs_core::rng::Xoshiro256pp;
@@ -44,12 +44,12 @@ pub fn boost_probe(workbench: &Workbench, bias: f64, std_dev: f64, trial: usize)
             .wrapping_mul(53)
             .wrapping_add(trial as u64),
     );
-    let generator = AttackGenerator::new();
-    let mut ratings = Vec::new();
-    for &(product, direction) in &ctx.targets {
-        ratings.extend(generator.generate_product(&mut rng, ctx, product, direction, &config));
-    }
-    AttackSequence::new(format!("boost probe b={bias:.2} s={std_dev:.2}"), ratings)
+    AttackGenerator::new().generate(
+        &mut rng,
+        ctx,
+        format!("boost probe b={bias:.2} s={std_dev:.2}"),
+        &config,
+    )
 }
 
 /// MP summed over the boost targets only.
@@ -69,6 +69,7 @@ pub fn boost_mp(workbench: &Workbench, report: &rrs_core::MpReport) -> f64 {
 pub fn run(workbench: &Workbench) -> ExperimentReport {
     let scheme = PScheme::new();
     let session = ScoringSession::new(&workbench.challenge, &scheme);
+    let ctx = &workbench.attack_ctx;
     let trials = match workbench.config.scale {
         crate::suite::Scale::Small => 2,
         crate::suite::Scale::Paper => 4,
@@ -88,7 +89,7 @@ pub fn run(workbench: &Workbench) -> ExperimentReport {
         for trial in 0..trials {
             let b = boost_probe(workbench, bias, std, trial);
             best_boost = best_boost.max(boost_mp(workbench, &session.score(&b)));
-            let d = probe_attack(workbench, -bias, std, trial);
+            let d = probe(ctx, workbench.config.seed, -bias, std, trial);
             best_down = best_down.max(crate::fig5::downgrade_mp(workbench, &session.score(&d)));
         }
         (best_boost, best_down)

@@ -7,71 +7,13 @@
 //! * the MP found by the search **exceeds every submission** in the
 //!   population — the heuristic generates stronger attacks automatically.
 
+use crate::max_mp::{max_mp_for_scheme, MaxMp};
 use crate::report::{ExperimentReport, Table};
 use crate::suite::Workbench;
 use rrs_aggregation::PScheme;
-use rrs_attack::{
-    generator::{AttackConfig, AttackGenerator},
-    ArrivalModel, AttackSequence, MappingStrategy, RegionSearch, SearchOutcome, SearchSpace,
-};
+use rrs_attack::search::probe;
 use rrs_challenge::ScoringSession;
-use rrs_core::rng::Xoshiro256pp;
-use rrs_core::{Days, Timestamp};
 use std::fmt::Write as _;
-
-/// Builds the downgrade attack Procedure 2 probes: a one-month burst on
-/// every downgrade target with the probed `(bias, std)`.
-#[must_use]
-pub fn probe_attack(
-    workbench: &Workbench,
-    bias: f64,
-    std_dev: f64,
-    trial: usize,
-) -> AttackSequence {
-    let ctx = &workbench.attack_ctx;
-    let horizon_days = ctx.horizon.length().get();
-    // Strike early: under cumulative scoring the displayed aggregate is
-    // least shielded while the fair history is still short, so a rational
-    // attacker finishes as soon after the window opens as detection
-    // pressure allows.
-    let start = Timestamp::saturating(ctx.horizon.start().as_days() + 2.0);
-    // Trials alternate between a concentrated strike and a full-window
-    // drip — Procedure 2 generates "m sets of unfair rating data" per
-    // center, and the time profile is part of that variation.
-    let duration = if trial.is_multiple_of(2) {
-        (horizon_days * 0.3).min(25.0)
-    } else {
-        horizon_days - 4.0
-    };
-    let config = AttackConfig {
-        bias_magnitude: bias.abs(),
-        std_dev,
-        start,
-        duration: Days::new_saturating(duration),
-        count: ctx.raters.len(),
-        arrival: ArrivalModel::Poisson,
-        mapping: MappingStrategy::InOrder,
-        calibrated: true,
-    };
-    let mut rng = Xoshiro256pp::seed_from_u64(
-        workbench
-            .config
-            .seed
-            .wrapping_mul(31)
-            .wrapping_add(trial as u64),
-    );
-    // Attack every target, not just the downgraded products: the
-    // boost-side ratings rarely get marked (there is little room above a
-    // ~4.0 fair mean) and keep the biased raters' beta trust afloat —
-    // trust laundering that amplifies the downgrade damage. The scoring
-    // still counts the downgrade targets only.
-    let generator = AttackGenerator::new();
-    let mut ratings = Vec::new();
-    for &(product, direction) in &ctx.targets {
-        ratings.extend(generator.generate_product(&mut rng, ctx, product, direction, &config));
-    }
-    AttackSequence::new(format!("probe b={bias:.2} s={std_dev:.2}"), ratings)
-}
 
 /// MP of a submission summed over the downgrade targets only (the
 /// search optimizes the downgrade attack, as the paper's Fig. 5 does).
@@ -86,30 +28,15 @@ pub fn downgrade_mp(workbench: &Workbench, report: &rrs_core::MpReport) -> f64 {
         .sum()
 }
 
-/// Runs the search and returns `(outcome, best population downgrade MP)`.
-#[must_use]
-pub fn run_search(workbench: &Workbench) -> (SearchOutcome, f64) {
-    let scheme = PScheme::new();
-    let session = ScoringSession::new(&workbench.challenge, &scheme);
-    // Probes fan out across workers per round; the fold inside
-    // run_parallel walks them in serial order, so the trace is identical.
-    let outcome =
-        RegionSearch::new().run_parallel(SearchSpace::paper_downgrade(), |bias, std, trial| {
-            let seq = probe_attack(workbench, bias, std, trial);
-            downgrade_mp(workbench, &session.score(&seq))
-        });
-    let population_best = rrs_core::par::par_map(&workbench.population, |_, spec| {
-        downgrade_mp(workbench, &session.score(&spec.sequence))
-    })
-    .into_iter()
-    .fold(0.0f64, f64::max);
-    (outcome, population_best)
-}
-
 /// Runs Figure 5.
 #[must_use]
 pub fn run(workbench: &Workbench) -> ExperimentReport {
-    let (outcome, population_best) = run_search(workbench);
+    let scheme = PScheme::new();
+    let MaxMp {
+        population_best,
+        search: outcome,
+        ..
+    } = max_mp_for_scheme(workbench, &scheme);
 
     let mut table = Table::new(vec![
         "round",
@@ -155,11 +82,11 @@ pub fn run(workbench: &Workbench) -> ExperimentReport {
     );
     // The paper's R1 reference point: the naive zero-variance extreme.
     let corner_mp = {
-        let scheme = PScheme::new();
         let session = ScoringSession::new(&workbench.challenge, &scheme);
+        let ctx = &workbench.attack_ctx;
         (0..4)
             .map(|trial| {
-                let seq = probe_attack(workbench, -3.7, 0.05, trial);
+                let seq = probe(ctx, workbench.config.seed, -3.7, 0.05, trial);
                 downgrade_mp(workbench, &session.score(&seq))
             })
             .fold(0.0f64, f64::max)
@@ -208,32 +135,5 @@ fn verdict(ok: bool) -> &'static str {
         "MATCHES PAPER"
     } else {
         "DIVERGES"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::suite::{Scale, SuiteConfig};
-    use rrs_core::ProductId;
-
-    #[test]
-    fn probe_attack_covers_all_targets_and_is_deterministic() {
-        let wb = Workbench::build(&SuiteConfig {
-            scale: Scale::Small,
-            seed: 2,
-            out_dir: None,
-        });
-        let seq = probe_attack(&wb, -2.0, 1.0, 0);
-        assert!(!seq.is_empty());
-        // Both the boost and the downgrade target are attacked (the
-        // boost side launders trust), one rating per rater each.
-        assert!(!seq.for_product(ProductId::new(0)).is_empty());
-        assert!(!seq.for_product(ProductId::new(2)).is_empty());
-        // Deterministic per trial.
-        let again = probe_attack(&wb, -2.0, 1.0, 0);
-        assert_eq!(seq.ratings, again.ratings);
-        let other = probe_attack(&wb, -2.0, 1.0, 1);
-        assert_ne!(seq.ratings, other.ratings);
     }
 }

@@ -6,11 +6,12 @@
 //! searched attack (attackers use their best weapon against each
 //! defense), per scheme.
 
-use crate::fig5::{downgrade_mp, probe_attack};
+use crate::fig5::downgrade_mp;
 use crate::report::{ExperimentReport, Table};
 use crate::suite::Workbench;
 use rrs_aggregation::{BfScheme, PScheme, SaScheme};
-use rrs_attack::{RegionSearch, SearchSpace};
+use rrs_attack::search::optimize;
+use rrs_attack::SearchOutcome;
 use rrs_challenge::ScoringSession;
 use rrs_core::AggregationScheme;
 use std::fmt::Write as _;
@@ -22,15 +23,15 @@ pub struct MaxMp {
     pub scheme: String,
     /// Best MP over the submission population.
     pub population_best: f64,
-    /// Best MP found by Procedure-2 search against this scheme.
-    pub search_best: f64,
+    /// The Procedure-2 search against this scheme.
+    pub search: SearchOutcome,
 }
 
 impl MaxMp {
     /// The attacker's best option.
     #[must_use]
     pub fn best(&self) -> f64 {
-        self.population_best.max(self.search_best)
+        self.population_best.max(self.search.best_mp)
     }
 }
 
@@ -46,15 +47,13 @@ pub fn max_mp_for_scheme(workbench: &Workbench, scheme: &dyn AggregationScheme) 
     })
     .into_iter()
     .fold(0.0f64, f64::max);
-    let outcome =
-        RegionSearch::new().run_parallel(SearchSpace::paper_downgrade(), |bias, std, trial| {
-            let seq = probe_attack(workbench, bias, std, trial);
-            downgrade_mp(workbench, &session.score(&seq))
-        });
+    let search = optimize(&workbench.attack_ctx, workbench.config.seed, |seq| {
+        downgrade_mp(workbench, &session.score(seq))
+    });
     MaxMp {
         scheme: scheme.name().to_string(),
         population_best,
-        search_best: outcome.best_mp,
+        search,
     }
 }
 
@@ -75,7 +74,7 @@ pub fn run(workbench: &Workbench) -> ExperimentReport {
         table.push_row(vec![
             r.scheme.clone(),
             format!("{:.4}", r.population_best),
-            format!("{:.4}", r.search_best),
+            format!("{:.4}", r.search.best_mp),
             format!("{:.4}", r.best()),
         ]);
     }

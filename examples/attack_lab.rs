@@ -7,7 +7,7 @@
 //! ```
 
 use rrs::aggregation::{BfScheme, PScheme, SaScheme};
-use rrs::attack::AdaptiveAttacker;
+use rrs::attack::search::optimize;
 use rrs::challenge::{ChallengeConfig, RatingChallenge, ScoringSession};
 use rrs::AggregationScheme;
 
@@ -22,18 +22,18 @@ fn main() {
         _ => &p,
     };
 
-    let challenge = RatingChallenge::generate(&ChallengeConfig::paper(), 7);
+    let seed = 7;
+    let challenge = RatingChallenge::generate(&ChallengeConfig::paper(), seed);
     let session = ScoringSession::new(&challenge, scheme);
     let ctx = challenge.attack_context();
     println!(
-        "adaptive attacker learning the variance-bias plane against {} ...\n",
+        "Procedure 2 learning the variance-bias plane against {} ...\n",
         scheme.name()
     );
 
-    let attacker = AdaptiveAttacker::new();
-    let outcome = attacker.optimize(&ctx, |seq| session.score(seq).total());
+    let outcome = optimize(&ctx, seed, |seq| session.score(seq).total());
 
-    for (i, round) in outcome.search.rounds.iter().enumerate() {
+    for (i, round) in outcome.rounds.iter().enumerate() {
         println!(
             "round {i}: area bias [{:.2}, {:.2}] x std [{:.2}, {:.2}]",
             round.area.bias.0, round.area.bias.1, round.area.std_dev.0, round.area.std_dev.1
@@ -43,12 +43,11 @@ fn main() {
             println!("  probe ({b:>6.2}, {s:>5.2})  max MP {mp:.4}");
         }
     }
-    let (bias, std) = outcome.search.final_area.center();
+    let (bias, std) = outcome.final_area.center();
     println!(
-        "\nconverged: bias {bias:.2}, std {std:.2}; best MP {:.4} against {} using \"{}\"",
-        outcome.best_effect,
+        "\nconverged: bias {bias:.2}, std {std:.2}; best MP {:.4} against {}",
+        outcome.best_mp,
         scheme.name(),
-        outcome.best_attack.label,
     );
     println!("(the paper's Fig. 5 run against its P-scheme ended near (-2.3, 1.6))");
 }

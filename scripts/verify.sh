@@ -86,6 +86,12 @@ RRS_TRACE=1 RRS_THREADS=8 target/release/experiments --scale small --seed 42 --o
 test -s "$TMP/threads1/metrics.json"
 diff -r "$TMP/threads1" "$TMP/threads8"
 
+# Reference tree: results/ is what EXPERIMENTS.md cites, and a
+# paper-scale run at seed 42 must reproduce every file in it byte for
+# byte.
+target/release/experiments --scale paper --seed 42 --out "$TMP/paper42"
+diff -r "$TMP/paper42" results
+
 # Serving smoke: checkpoint a live server after its first epoch, SIGKILL
 # it after further acknowledged submissions, restart it from the
 # checkpoint and the WAL, finish the workload, and require the recovered
